@@ -22,6 +22,9 @@
 //!    every domain, exploring the reset-timing space the paper calls
 //!    "prohibitive" for plain dynamic validation — here it is tractable
 //!    because the AR_CFG restricts attention to reset-governed logic.
+//!    Each sweep position starts from the same base schedule, so a
+//!    domain's positions run on the worker pool and are merged back in
+//!    round order.
 
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -270,6 +273,10 @@ pub struct ConcolicReport {
     /// Utilization counters of the flip-solve worker pool (wall-clock
     /// measurements; excluded from canonical report serializations).
     pub flip_exec: soccar_exec::PoolStats,
+    /// Utilization counters of the reset-sweep worker pool, summed over
+    /// every domain's fan-out (wall-clock measurements; excluded from
+    /// canonical report serializations).
+    pub sweep_exec: soccar_exec::PoolStats,
 }
 
 impl ConcolicReport {
@@ -405,6 +412,52 @@ impl WarmBlastPool {
     }
 }
 
+/// One simulated round: the simulator it ran on (phase 1 plans the next
+/// schedule from its observations), the violations it saw, and the
+/// degradation reasons it hit.
+struct RoundRun<'d> {
+    sim: Simulator<'d, CoAlgebra>,
+    violations: Vec<Violation>,
+    reasons: Vec<String>,
+}
+
+/// What a sweep round hands back across the worker pool: only what the
+/// serial merge folds into the run.
+struct SweptRound {
+    hits: Vec<usize>,
+    violations: Vec<Violation>,
+    reasons: Vec<String>,
+}
+
+/// The violations of a run so far, each with its first-wins witness.
+#[derive(Default)]
+struct Findings {
+    violations: Vec<Violation>,
+    witnesses: Vec<Witness>,
+    first_violation_round: Option<usize>,
+}
+
+impl Findings {
+    /// Folds round `round`'s violations in. A property that already has a
+    /// witness keeps it, so merging rounds in order keeps the earliest.
+    fn merge(&mut self, round: usize, schedule: &TestSchedule, fresh: Vec<Violation>) {
+        for v in fresh {
+            if self.violations.iter().any(|e| e.property == v.property) {
+                continue;
+            }
+            self.witnesses.push(Witness {
+                property: v.property.clone(),
+                schedule: schedule.clone(),
+                round,
+            });
+            self.violations.push(v);
+        }
+        if self.first_violation_round.is_none() && !self.violations.is_empty() {
+            self.first_violation_round = Some(round);
+        }
+    }
+}
+
 /// The reset-aware concolic engine. See the [module docs](self).
 #[derive(Debug)]
 pub struct ConcolicEngine<'d> {
@@ -420,6 +473,7 @@ pub struct ConcolicEngine<'d> {
     unreachable: Vec<bool>,
     pulse_attempts: HashMap<usize, u64>,
     flip_stats: soccar_exec::PoolStats,
+    sweep_stats: soccar_exec::PoolStats,
     /// Global flip-candidate sequence number — assigned serially in
     /// Phase A order, so it is the deterministic index the fault plan
     /// keys on.
@@ -583,6 +637,7 @@ impl<'d> ConcolicEngine<'d> {
             unreachable: vec![false; n],
             pulse_attempts: HashMap::new(),
             flip_stats: soccar_exec::PoolStats::default(),
+            sweep_stats: soccar_exec::PoolStats::default(),
             flip_seq: 0,
             solver_unknown: 0,
             flips_failed: 0,
@@ -644,9 +699,7 @@ impl<'d> ConcolicEngine<'d> {
         let start = Instant::now();
         let mut schedule = self.base_schedule();
         schedule.randomize(self.config.seed);
-        let mut violations: Vec<Violation> = Vec::new();
-        let mut witnesses: Vec<Witness> = Vec::new();
-        let mut first_violation_round: Option<usize> = None;
+        let mut findings = Findings::default();
         let mut rounds = 0usize;
         let mut solver_calls = 0usize;
         let mut solver_sat = 0usize;
@@ -656,20 +709,18 @@ impl<'d> ConcolicEngine<'d> {
             rounds += 1;
             let round_started = Instant::now();
             let mut round_span = soccar_obs::span!(self.recorder, "concolic.round", round = rounds);
-            let (mut sim, round_violations) = self.execute_round(&schedule)?;
-            self.absorb_coverage(&sim);
-            self.merge_violations(
-                rounds,
-                &schedule,
-                round_violations,
-                &mut violations,
-                &mut witnesses,
-            );
-            if first_violation_round.is_none() && !violations.is_empty() {
-                first_violation_round = Some(rounds);
+            let RoundRun {
+                mut sim,
+                violations,
+                reasons,
+            } = self.run_round(&schedule)?;
+            self.degraded_reasons.extend(reasons);
+            for i in self.target_hits(&sim) {
+                self.covered[i] = true;
             }
+            findings.merge(rounds, &schedule, violations);
             round_span.record("covered", self.covered.iter().filter(|c| **c).count());
-            round_span.record("violations", violations.len());
+            round_span.record("violations", findings.violations.len());
             if self.all_covered() {
                 break;
             }
@@ -696,35 +747,12 @@ impl<'d> ConcolicEngine<'d> {
         // cycle position; catches state-dependent payloads).
         if !self.config.skip_sweep {
             for di in 0..self.domains.len() {
-                let sweep_rounds_before = rounds;
-                let mut sweep_span = soccar_obs::span!(
-                    self.recorder,
-                    "concolic.sweep",
-                    domain = self.domains[di].0.as_str()
-                );
-                let mut at = 1;
-                while at < self.config.cycles {
-                    let mut s = self.base_schedule();
+                let schedules = self.sweep_schedules(|s, at| {
                     s.randomize(self.config.seed.wrapping_add(at));
                     s.power_on_only();
                     s.add_pulse(di, at, 1);
-                    rounds += 1;
-                    let (sim, round_violations) = self.execute_round(&s)?;
-                    self.absorb_coverage(&sim);
-                    self.merge_violations(
-                        rounds,
-                        &s,
-                        round_violations,
-                        &mut violations,
-                        &mut witnesses,
-                    );
-                    if first_violation_round.is_none() && !violations.is_empty() {
-                        first_violation_round = Some(rounds);
-                    }
-                    at += self.config.sweep_stride;
-                }
-                sweep_span.record("rounds", rounds - sweep_rounds_before);
-                drop(sweep_span);
+                });
+                self.sweep_domain("concolic.sweep", di, &schedules, &mut rounds, &mut findings)?;
             }
             // Phase 3: clock-high-phase sweep for domains that the
             // Refined analysis flagged as having clock-composed implicit
@@ -735,35 +763,18 @@ impl<'d> ConcolicEngine<'d> {
                 if !self.clock_composed[di] {
                     continue;
                 }
-                let sweep_rounds_before = rounds;
-                let mut sweep_span = soccar_obs::span!(
-                    self.recorder,
-                    "concolic.sweep_high",
-                    domain = self.domains[di].0.as_str()
-                );
-                let mut at = 1;
-                while at < self.config.cycles {
-                    let mut s = self.base_schedule();
+                let schedules = self.sweep_schedules(|s, at| {
                     s.randomize(self.config.seed.wrapping_add(0x9E37 + at));
                     s.power_on_only();
                     s.add_high_phase_pulse(di, at);
-                    rounds += 1;
-                    let (sim, round_violations) = self.execute_round(&s)?;
-                    self.absorb_coverage(&sim);
-                    self.merge_violations(
-                        rounds,
-                        &s,
-                        round_violations,
-                        &mut violations,
-                        &mut witnesses,
-                    );
-                    if first_violation_round.is_none() && !violations.is_empty() {
-                        first_violation_round = Some(rounds);
-                    }
-                    at += self.config.sweep_stride;
-                }
-                sweep_span.record("rounds", rounds - sweep_rounds_before);
-                drop(sweep_span);
+                });
+                self.sweep_domain(
+                    "concolic.sweep_high",
+                    di,
+                    &schedules,
+                    &mut rounds,
+                    &mut findings,
+                )?;
             }
         }
 
@@ -789,9 +800,9 @@ impl<'d> ConcolicEngine<'d> {
             targets_total: self.targets.len(),
             targets_covered: covered,
             targets_unreachable: unreachable,
-            violations,
-            first_violation_round,
-            witnesses,
+            violations: findings.violations,
+            first_violation_round: findings.first_violation_round,
+            witnesses: findings.witnesses,
             solver_calls,
             solver_sat,
             solver_unknown: self.solver_unknown,
@@ -800,6 +811,7 @@ impl<'d> ConcolicEngine<'d> {
             degraded_reasons: self.degraded_reasons.iter().cloned().collect(),
             elapsed: start.elapsed(),
             flip_exec: self.flip_stats,
+            sweep_exec: self.sweep_stats,
         })
     }
 
@@ -826,24 +838,71 @@ impl<'d> ConcolicEngine<'d> {
         )
     }
 
+    /// The sweep schedules of one domain, one per pulse position
+    /// `1, 1 + stride, …` below the horizon, in `at` order. `shape` turns
+    /// the quiet base schedule into the round for position `at`.
+    fn sweep_schedules(&self, shape: impl Fn(&mut TestSchedule, u64)) -> Vec<TestSchedule> {
+        let mut schedules = Vec::new();
+        let mut at = 1;
+        while at < self.config.cycles {
+            let mut s = self.base_schedule();
+            shape(&mut s, at);
+            schedules.push(s);
+            at += self.config.sweep_stride;
+        }
+        schedules
+    }
+
+    /// Runs one domain's sweep rounds on the worker pool, then folds them
+    /// into the run serially in round order. Every round starts from its
+    /// own schedule and reads only engine state the fan-out never writes,
+    /// so round numbers, first-wins witnesses, `first_violation_round`
+    /// and coverage come out exactly as a serial sweep would leave them.
+    fn sweep_domain(
+        &mut self,
+        span: &'static str,
+        di: usize,
+        schedules: &[TestSchedule],
+        rounds: &mut usize,
+        findings: &mut Findings,
+    ) -> SimResult<()> {
+        let mut sweep_span =
+            soccar_obs::span!(self.recorder, span, domain = self.domains[di].0.as_str());
+        let (results, stats) = soccar_exec::parallel_map_stats(self.config.jobs, schedules, |s| {
+            self.run_round(s).map(|run| SweptRound {
+                hits: self.target_hits(&run.sim),
+                violations: run.violations,
+                reasons: run.reasons,
+            })
+        });
+        self.sweep_stats.absorb(&stats);
+        for (schedule, result) in schedules.iter().zip(results) {
+            let swept = result?;
+            *rounds += 1;
+            self.degraded_reasons.extend(swept.reasons);
+            for i in swept.hits {
+                self.covered[i] = true;
+            }
+            findings.merge(*rounds, schedule, swept.violations);
+        }
+        sweep_span.record("rounds", schedules.len());
+        Ok(())
+    }
+
     /// One `Simulate(Input, Restricts)` call of Algorithm 3.
     ///
-    /// Monitors that fail to resolve (or error mid-check) are dropped
-    /// into the run's degraded reasons instead of being silently ignored
-    /// or panicking: the analysis continues, visibly partial.
-    fn execute_round(
-        &mut self,
-        schedule: &TestSchedule,
-    ) -> SimResult<(Simulator<'d, CoAlgebra>, Vec<Violation>)> {
+    /// Monitors that fail to resolve (or error mid-check) come back as
+    /// degraded reasons instead of being silently ignored or panicking:
+    /// the analysis continues, visibly partial. Takes `&self` so sweep
+    /// rounds can run side by side on the worker pool.
+    fn run_round(&self, schedule: &TestSchedule) -> SimResult<RoundRun<'d>> {
         let mut sim = Simulator::with_algebra(self.design, CoAlgebra::new(), self.config.init);
+        let mut reasons = Vec::new();
         let mut monitors: Vec<PropertyMonitor> = Vec::new();
         for p in &self.properties {
             match PropertyMonitor::resolve(self.design, p.clone(), &self.domain_polarity) {
                 Ok(m) => monitors.push(m),
-                Err(e) => {
-                    self.degraded_reasons
-                        .insert(format!("property monitor dropped: {e}"));
-                }
+                Err(e) => reasons.push(format!("property monitor dropped: {e}")),
             }
         }
         let mut violations = Vec::new();
@@ -918,10 +977,7 @@ impl<'d> ConcolicEngine<'d> {
             for mon in &mut monitors {
                 match mon.check_cycle(&sim, cycle) {
                     Ok(found) => violations.extend(found),
-                    Err(e) => {
-                        self.degraded_reasons
-                            .insert(format!("property check skipped: {e}"));
-                    }
+                    Err(e) => reasons.push(format!("property check skipped: {e}")),
                 }
             }
             // Shadow the concrete checks with symbolic proof obligations:
@@ -938,24 +994,29 @@ impl<'d> ConcolicEngine<'d> {
                 }
             }
         }
-        Ok((sim, violations))
+        Ok(RoundRun {
+            sim,
+            violations,
+            reasons,
+        })
     }
 
-    fn absorb_coverage(&mut self, sim: &Simulator<'d, CoAlgebra>) {
+    /// Indices of the still-uncovered targets that `sim`'s round hit.
+    fn target_hits(&self, sim: &Simulator<'d, CoAlgebra>) -> Vec<usize> {
         let site_cov = sim.algebra().coverage();
         let runs = sim.process_run_counts();
-        for (i, t) in self.targets.iter().enumerate() {
-            if self.covered[i] {
-                continue;
-            }
-            let hit = match &t.goal {
-                TargetGoal::Site { site, dir } => site_cov.contains(&(*site, *dir)),
-                TargetGoal::Process(p) => runs[p.0 as usize] > 0,
-            };
-            if hit {
-                self.covered[i] = true;
-            }
-        }
+        self.targets
+            .iter()
+            .enumerate()
+            .filter(|(i, t)| {
+                !self.covered[*i]
+                    && match &t.goal {
+                        TargetGoal::Site { site, dir } => site_cov.contains(&(*site, *dir)),
+                        TargetGoal::Process(p) => runs[p.0 as usize] > 0,
+                    }
+            })
+            .map(|(i, _)| i)
+            .collect()
     }
 
     fn all_covered(&self) -> bool {
@@ -963,27 +1024,6 @@ impl<'d> ConcolicEngine<'d> {
             .iter()
             .zip(&self.unreachable)
             .all(|(c, u)| *c || *u)
-    }
-
-    fn merge_violations(
-        &self,
-        round: usize,
-        schedule: &TestSchedule,
-        fresh: Vec<Violation>,
-        out: &mut Vec<Violation>,
-        witnesses: &mut Vec<Witness>,
-    ) {
-        for v in fresh {
-            if out.iter().any(|e| e.property == v.property) {
-                continue;
-            }
-            witnesses.push(Witness {
-                property: v.property.clone(),
-                schedule: schedule.clone(),
-                round,
-            });
-            out.push(v);
-        }
     }
 
     /// Picks an uncovered target and produces the next schedule, either by
@@ -1347,7 +1387,7 @@ impl<'d> ConcolicEngine<'d> {
     pub fn flip_workload(&mut self) -> SimResult<FlipWorkload> {
         let mut schedule = self.base_schedule();
         schedule.randomize(self.config.seed);
-        let (mut sim, _violations) = self.execute_round(&schedule)?;
+        let mut sim = self.run_round(&schedule)?.sim;
         let observations = sim.algebra().observations().to_vec();
         let neg: Vec<TermId> = {
             let g = &mut sim.algebra_mut().graph;
@@ -2125,6 +2165,56 @@ mod tests {
         assert_eq!(serial.flips_failed, parallel.flips_failed);
         assert_eq!(serial.degraded_rounds, parallel.degraded_rounds);
         assert_eq!(serial.degraded_reasons, parallel.degraded_reasons);
+    }
+
+    #[test]
+    fn sweep_witness_names_the_earliest_round_at_every_job_count() {
+        // The leaky key register is never scrubbed, so every sweep
+        // position trips the property; the merged witness must still be
+        // the first position's, however the rounds land on workers.
+        let unit = parse(FileId(0), LEAKY_CRYPTO).expect("parse");
+        let design = soccar_rtl::elaborate::elaborate(&unit, "top").expect("elaborate");
+        let soc = compose_soc(
+            &unit,
+            "top",
+            &ResetNaming::new(),
+            GovernorAnalysis::Explicit,
+        )
+        .expect("compose");
+        let bound = bind_events(&design, &soc).expect("bind");
+        let engine = |jobs: usize| {
+            let config = ConcolicConfig {
+                cycles: 8,
+                max_rounds: 0,
+                jobs,
+                ..ConcolicConfig::default()
+            };
+            ConcolicEngine::new(&design, &bound, vec![leak_property()], config).expect("engine")
+        };
+        let probe = engine(1);
+        let schedules = probe.sweep_schedules(|s, at| {
+            s.randomize(probe.config.seed.wrapping_add(at));
+            s.power_on_only();
+            s.add_pulse(0, at, 1);
+        });
+        for s in &schedules[..2] {
+            let run = probe.run_round(s).expect("round");
+            assert!(
+                run.violations
+                    .iter()
+                    .any(|v| v.property == "aes-key-cleared"),
+                "each of the first two positions trips the property"
+            );
+        }
+        for jobs in [1, 2, 4] {
+            let report = engine(jobs).run().expect("run");
+            assert_eq!(report.rounds, schedules.len(), "jobs={jobs}");
+            assert_eq!(report.first_violation_round, Some(1), "jobs={jobs}");
+            assert_eq!(report.witnesses.len(), 1, "jobs={jobs}");
+            assert_eq!(report.witnesses[0].round, 1, "jobs={jobs}");
+            assert_eq!(report.witnesses[0].schedule, schedules[0], "jobs={jobs}");
+            assert_eq!(report.sweep_exec.tasks, schedules.len(), "jobs={jobs}");
+        }
     }
 
     const MAGIC_BRANCH: &str = "

@@ -578,6 +578,11 @@ impl Soccar {
             .with_recorder(self.recorder.clone());
         let concolic = engine.run()?;
         self.record_pool_stats("exec.flips", &concolic.flip_exec);
+        // The sweep pool goes in as gauges only, task count included, so
+        // canonical traces (which keep counters) stay as they were.
+        self.recorder
+            .gauge_set("exec.sweep.tasks", concolic.sweep_exec.tasks as f64);
+        self.record_pool_gauges("exec.sweep", &concolic.sweep_exec);
         stages.push(StageReport {
             stage: "concolic".into(),
             elapsed: concolic_span.close(),
@@ -608,6 +613,12 @@ impl Soccar {
     fn record_pool_stats(&self, prefix: &str, stats: &soccar_exec::PoolStats) {
         self.recorder
             .counter_add(&format!("{prefix}.tasks"), stats.tasks as u64);
+        self.record_pool_gauges(prefix, stats);
+    }
+
+    /// The wall-clock side of [`Soccar::record_pool_stats`]: worker count,
+    /// busy time and utilization, as gauges.
+    fn record_pool_gauges(&self, prefix: &str, stats: &soccar_exec::PoolStats) {
         self.recorder
             .gauge_set(&format!("{prefix}.jobs"), stats.jobs as f64);
         self.recorder
@@ -714,6 +725,28 @@ mod tests {
         assert_eq!(extract.tasks, 2); // ip + top modules
         let flips = report.stages[3].exec.as_ref().expect("concolic exec");
         assert_eq!(flips.tasks, report.concolic.flip_exec.tasks);
+    }
+
+    #[test]
+    fn sweep_pool_stats_are_trace_gauges_only() {
+        let recorder = soccar_obs::Recorder::enabled();
+        let config = SoccarConfig {
+            jobs: 2,
+            ..SoccarConfig::default()
+        };
+        let report = Soccar::new(config)
+            .with_recorder(recorder.clone())
+            .analyze("t.v", LEAKY, "top", vec![key_property()])
+            .expect("analyze");
+        let sweep = report.concolic.sweep_exec;
+        assert!(sweep.tasks > 0, "the sweep ran on the pool");
+        let snap = recorder.snapshot();
+        assert_eq!(snap.gauges["exec.sweep.tasks"], sweep.tasks as f64);
+        assert_eq!(snap.gauges["exec.sweep.jobs"], 2.0);
+        for gauge in ["exec.sweep.busy_secs", "exec.sweep.utilization"] {
+            assert!(snap.gauges.contains_key(gauge), "missing {gauge}");
+        }
+        assert!(snap.counters.keys().all(|k| !k.starts_with("exec.sweep")));
     }
 
     #[test]

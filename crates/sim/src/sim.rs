@@ -15,7 +15,7 @@
 //! The interpreter is generic over an [`Algebra`], so the same code path
 //! drives both pure-concrete simulation and the concolic co-simulation.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 use soccar_rtl::ast::{CaseKind, Edge, NetKind};
 use soccar_rtl::design::{
@@ -82,6 +82,30 @@ enum PrimWrite<V> {
     Dropped,
 }
 
+/// One memory's contents: the power-on word every address starts with,
+/// plus the words written since. Building a plane costs one value however
+/// deep the memory is, and unwritten words cost nothing to keep.
+#[derive(Debug)]
+struct MemPlane<V> {
+    depth: u64,
+    init: V,
+    written: HashMap<u64, V>,
+}
+
+impl<V> MemPlane<V> {
+    /// The word at `addr`, or `None` past the end of the memory.
+    fn get(&self, addr: u64) -> Option<&V> {
+        (addr < self.depth).then(|| self.written.get(&addr).unwrap_or(&self.init))
+    }
+
+    /// Stores `value` at `addr`; out-of-range writes are dropped.
+    fn set(&mut self, addr: u64, value: V) {
+        if addr < self.depth {
+            self.written.insert(addr, value);
+        }
+    }
+}
+
 /// A recorded value change, for waveform output.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
@@ -128,7 +152,7 @@ pub struct Simulator<'d, A: Algebra> {
     design: &'d Design,
     algebra: A,
     nets: Vec<A::Value>,
-    mems: Vec<Vec<A::Value>>,
+    mems: Vec<MemPlane<A::Value>>,
     wake_map: Vec<Vec<WakeEntry>>,
     runnable: VecDeque<ProcessId>,
     in_queue: Vec<bool>,
@@ -165,13 +189,13 @@ impl<'d, A: Algebra> Simulator<'d, A> {
                 algebra.constant(v)
             })
             .collect();
-        let mems: Vec<Vec<A::Value>> = design
+        let mems: Vec<MemPlane<A::Value>> = design
             .memories()
             .iter()
-            .map(|m| {
-                (0..m.depth)
-                    .map(|_| algebra.constant(init.value(m.width)))
-                    .collect()
+            .map(|m| MemPlane {
+                depth: u64::from(m.depth),
+                init: algebra.constant(init.value(m.width)),
+                written: HashMap::new(),
             })
             .collect();
         let mut wake_map: Vec<Vec<WakeEntry>> = vec![Vec::new(); design.nets().len()];
@@ -303,7 +327,9 @@ impl<'d, A: Algebra> Simulator<'d, A> {
     /// Panics if `mem` is not part of the design or `addr` is out of range.
     #[must_use]
     pub fn mem_value(&self, mem: MemId, addr: u64) -> &A::Value {
-        &self.mems[mem.0 as usize][addr as usize]
+        self.mems[mem.0 as usize]
+            .get(addr)
+            .expect("memory address out of range")
     }
 
     /// The current concrete value of a memory element.
@@ -313,8 +339,7 @@ impl<'d, A: Algebra> Simulator<'d, A> {
     /// Panics if `mem` is not part of the design or `addr` is out of range.
     #[must_use]
     pub fn mem_logic(&self, mem: MemId, addr: u64) -> &LogicVec {
-        self.algebra
-            .concrete(&self.mems[mem.0 as usize][addr as usize])
+        self.algebra.concrete(self.mem_value(mem, addr))
     }
 
     /// Drives a top-level input with a concrete value. Does not settle;
@@ -383,7 +408,9 @@ impl<'d, A: Algebra> Simulator<'d, A> {
             "poke width mismatch"
         );
         let v = self.algebra.constant(value);
-        self.mems[mem.0 as usize][addr as usize] = v;
+        let plane = &mut self.mems[mem.0 as usize];
+        assert!(addr < plane.depth, "memory address out of range");
+        plane.set(addr, v);
     }
 
     /// Runs the active and NBA regions until the design stabilizes.
@@ -511,12 +538,7 @@ impl<'d, A: Algebra> Simulator<'d, A> {
                 width,
                 value,
             } => self.commit_net(net, lo, width, value),
-            PrimWrite::Mem { mem, addr, value } => {
-                let depth = self.design.memory(mem).depth;
-                if addr < u64::from(depth) {
-                    self.mems[mem.0 as usize][addr as usize] = value;
-                }
-            }
+            PrimWrite::Mem { mem, addr, value } => self.mems[mem.0 as usize].set(addr, value),
             PrimWrite::Dropped => {}
         }
     }
@@ -830,12 +852,14 @@ impl<'d, A: Algebra> Simulator<'d, A> {
             }
             RExpr::MemRead { mem, width, index } => {
                 let idx = self.eval(index);
-                let depth = self.design.memory(*mem).depth;
-                match self.algebra.concrete(&idx).to_u64() {
-                    Some(addr) if addr < u64::from(depth) => {
-                        self.mems[mem.0 as usize][addr as usize].clone()
-                    }
-                    _ => self.algebra.constant(LogicVec::xes(*width)),
+                let word = self
+                    .algebra
+                    .concrete(&idx)
+                    .to_u64()
+                    .and_then(|addr| self.mems[mem.0 as usize].get(addr));
+                match word {
+                    Some(v) => v.clone(),
+                    None => self.algebra.constant(LogicVec::xes(*width)),
                 }
             }
         }
@@ -1238,5 +1262,101 @@ mod tests {
         s.settle().expect("settle");
         s.tick(clk).expect("tick");
         assert_eq!(s.net_logic(net(&d, "t.q")).to_u64(), Some(12));
+    }
+
+    /// A 4-word memory with a clocked write port and a clocked read port
+    /// whose 3-bit address can reach past the end.
+    const SMALL_RAM: &str = "module t(input clk, we, input [2:0] addr, input [7:0] wd,
+                                      output reg [7:0] rd);
+           reg [7:0] mem [0:3];
+           always @(posedge clk) begin
+             if (we) mem[addr] <= wd;
+             rd <= mem[addr];
+           end
+         endmodule";
+
+    #[test]
+    fn unwritten_words_read_the_init_policy() {
+        let d = compile(SMALL_RAM, "t");
+        let mem = d.find_memory("t.mem").expect("mem");
+        for (policy, expect) in [
+            (InitPolicy::X, LogicVec::xes(8)),
+            (InitPolicy::Zeros, LogicVec::zeros(8)),
+            (InitPolicy::Ones, LogicVec::ones(8)),
+        ] {
+            let mut s = Simulator::concrete(&d, policy);
+            for a in 0..4 {
+                assert_eq!(s.mem_logic(mem, a), &expect, "{policy:?} word {a}");
+            }
+            // The same word through the interpreter's read path.
+            let clk = net(&d, "t.clk");
+            for (n, v, w) in [("t.we", 0u64, 1u32), ("t.addr", 2, 3), ("t.wd", 0, 8)] {
+                s.write_input(net(&d, n), LogicVec::from_u64(w, v))
+                    .expect("in");
+            }
+            s.write_input(clk, LogicVec::from_u64(1, 0)).expect("clk");
+            s.settle().expect("settle");
+            s.tick(clk).expect("tick");
+            assert_eq!(s.net_logic(net(&d, "t.rd")), &expect, "{policy:?} read");
+        }
+    }
+
+    #[test]
+    fn initial_preloads_are_visible_beside_unwritten_words() {
+        let d = compile(
+            "module t(input clk);
+               reg [7:0] rom [0:7];
+               initial begin rom[1] = 8'h11; rom[6] = 8'h66; end
+             endmodule",
+            "t",
+        );
+        let mut s = Simulator::concrete(&d, InitPolicy::Ones);
+        s.settle().expect("settle");
+        let rom = d.find_memory("t.rom").expect("rom");
+        assert_eq!(s.mem_logic(rom, 1).to_u64(), Some(0x11));
+        assert_eq!(s.mem_logic(rom, 6).to_u64(), Some(0x66));
+        for a in [0, 2, 3, 4, 5, 7] {
+            assert!(s.mem_logic(rom, a).is_all_ones(), "word {a}");
+        }
+    }
+
+    #[test]
+    fn x_index_and_out_of_range_writes_are_dropped() {
+        let d = compile(SMALL_RAM, "t");
+        let mem = d.find_memory("t.mem").expect("mem");
+        let clk = net(&d, "t.clk");
+        let addr = net(&d, "t.addr");
+        let mut s = Simulator::concrete(&d, InitPolicy::Zeros);
+        s.write_input(net(&d, "t.we"), LogicVec::from_u64(1, 1))
+            .expect("we");
+        s.write_input(net(&d, "t.wd"), LogicVec::from_u64(8, 0xAB))
+            .expect("wd");
+        s.write_input(clk, LogicVec::from_u64(1, 0)).expect("clk");
+        for a in [LogicVec::from_u64(3, 5), LogicVec::xes(3)] {
+            s.write_input(addr, a).expect("addr");
+            s.settle().expect("settle");
+            s.tick(clk).expect("tick");
+            for w in 0..4 {
+                assert!(s.mem_logic(mem, w).is_all_zero(), "word {w} untouched");
+            }
+            // Reading past the end (or at an X index) yields X.
+            assert!(s.net_logic(net(&d, "t.rd")).is_all_x());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "memory address out of range")]
+    fn mem_value_past_the_end_panics() {
+        let d = compile(SMALL_RAM, "t");
+        let s = Simulator::concrete(&d, InitPolicy::Zeros);
+        let _ = s.mem_value(d.find_memory("t.mem").expect("mem"), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "memory address out of range")]
+    fn poke_mem_past_the_end_panics() {
+        let d = compile(SMALL_RAM, "t");
+        let mut s = Simulator::concrete(&d, InitPolicy::Zeros);
+        s.poke_mem(d.find_memory("t.mem").expect("mem"), 4, LogicVec::zeros(8));
     }
 }

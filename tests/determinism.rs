@@ -1,5 +1,5 @@
 //! Determinism regression: the parallel stages (AR_CFG extraction
-//! fan-out, speculative flip solving, variant sweeps) must merge by
+//! fan-out, speculative flip solving, reset-sweep rounds) must merge by
 //! stable keys, never completion order, so the full pipeline produces a
 //! byte-identical canonical report for every job count. These tests run
 //! the complete pipeline — frontend, lint, extraction, composition,
@@ -10,6 +10,7 @@ use proptest::prelude::*;
 use soccar::evaluation::evaluate_generated;
 use soccar::evaluation::evaluate_variant;
 use soccar::SoccarConfig;
+use soccar_cfg::GovernorAnalysis;
 use soccar_soc::{GenSpec, SocModel};
 
 /// Full-pipeline canonical JSON for one bug-seeded variant at `jobs`.
@@ -52,6 +53,32 @@ fn auto_soc_report_is_byte_identical_across_job_counts() {
     let parallel = canonical_json(SocModel::AutoSoc, 2, 4);
     assert_eq!(serial, parallel);
     assert!(serial.contains("\"violations\""));
+}
+
+#[test]
+fn refined_auto_soc_sweep_high_is_byte_identical_across_job_counts() {
+    // The Refined analysis flags AutoSoC #2's clock-composed SHA256
+    // governor, so this run fans out the clock-high-phase sweep too.
+    let spec = soccar_soc::variant(SocModel::AutoSoc, 2).expect("bundled variant exists");
+    let run = |jobs: usize| {
+        let mut config = SoccarConfig {
+            analysis: GovernorAnalysis::Refined,
+            jobs,
+            ..SoccarConfig::default()
+        };
+        config.concolic.cycles = 12;
+        config.concolic.max_rounds = 4;
+        let eval = evaluate_variant(&spec, config).expect("benchmark variants always evaluate");
+        eval.report
+            .canonical_json()
+            .expect("canonical report serializes")
+    };
+    let serial = run(1);
+    // Only the high-phase sweep excites the SHA256 bug.
+    assert!(serial.contains("sha256-no-leak"), "{serial}");
+    for jobs in [2, 4] {
+        assert_eq!(serial, run(jobs), "jobs={jobs}");
+    }
 }
 
 #[test]
