@@ -45,14 +45,13 @@ fn main() -> ExitCode {
     let x10 = soccar_bench::gen_x10_report(&config);
     let v = &x10.variants[0];
     println!(
-        "x10 {}: {} modules, recall {}/{}, {} smt queries ({} sat, {} clauses reused), {:.2}s (q)",
+        "x10 {}: {} modules, recall {}/{}, {} smt queries ({} sat), {:.2}s (q)",
         v.variant,
         v.counters["gen.modules"],
         v.counters["detected"],
         v.counters["bugs"],
         v.counters["smt.queries"],
         v.counters["smt.sat"],
-        v.counters["smt.clauses_reused"],
         v.seconds_q
     );
 

@@ -76,14 +76,10 @@ pub fn stress_config() -> SoccarConfig {
             sweep_stride: 3,
             init: InitPolicy::Ones,
             // Pinned rather than env-derived: the gated `smt.*` counters
-            // differ between solver strategies (the canonical *report*
-            // does not), so the baseline must depend on neither
-            // `SOCCAR_INCREMENTAL` nor `SOCCAR_PORTFOLIO` — nor on the
-            // solver-speed escape hatches below.
-            incremental: true,
-            portfolio: false,
+            // differ across the solver-speed escape hatches (the
+            // canonical *report* does not), so the baseline must not
+            // depend on them.
             bve: true,
-            clause_sharing: true,
             trail_reuse: true,
             ..ConcolicConfig::default()
         },
@@ -150,7 +146,6 @@ pub fn gen_recall_variant(spec: &GenSpec, config: &SoccarConfig) -> soccar_obs::
         // counts the actual SAT invocations the solver front-end saw.
         ("smt.queries", trace("smt.queries")),
         ("smt.sat", trace("smt.sat")),
-        ("smt.clauses_reused", trace("smt.clauses_reused")),
         ("flip_candidates", trace("concolic.flip_candidates")),
     ] {
         counters.insert(name.to_owned(), value);
@@ -229,7 +224,6 @@ pub fn gen_x10_flip_record() -> soccar_obs::BenchVariant {
         seed: 7,
         symbolic_inputs: soc.symbolic.clone(),
         bve: true,
-        clause_sharing: true,
         trail_reuse: true,
         ..ConcolicConfig::default()
     };
@@ -357,10 +351,7 @@ pub fn gen_x10_report(config: &SoccarConfig) -> soccar_obs::BenchReport {
 /// through the assumption literals and completes conflict-free — there
 /// are no learnt clauses to carry (and the probe's engine passes no
 /// property monitors, so its windows carry no check obligations
-/// either). The real-workload reuse evidence at scale lives in the
-/// full-pipeline x10 record instead, where cross-round window
-/// accumulation — check obligations included — reuses clauses by the
-/// million (see `smt.clauses_reused` in `BENCH_gen_x10.json`).
+/// either).
 ///
 /// # Panics
 ///
@@ -414,7 +405,6 @@ pub fn gen_x50_report() -> soccar_obs::BenchReport {
         seed: 7,
         symbolic_inputs: soc.symbolic.clone(),
         bve: true,
-        clause_sharing: true,
         trail_reuse: true,
         ..ConcolicConfig::default()
     };
@@ -710,7 +700,6 @@ pub fn flip_solving_record(model: SocModel, config: &SoccarConfig) -> FlipSolvin
     // the `SOCCAR_BVE` / `SOCCAR_TRAIL_REUSE` CI legs.
     let mut config = config.clone();
     config.concolic.bve = true;
-    config.concolic.clause_sharing = true;
     config.concolic.trail_reuse = true;
     let workload = flip_workload(model, &config);
     let cap = FLIP_SOLVING_CAP;
@@ -925,12 +914,6 @@ pub fn clause_reuse_record() -> soccar_obs::BenchVariant {
     }
 }
 
-/// Per-profile conflict budget of the `solver_maintenance` sharing race.
-/// Small enough that the canonical profile cannot finish the pigeonhole
-/// formula inside its first slice (so clones exist and learn), and fixed
-/// so the race — and with it every gated counter — is deterministic.
-const SHARING_RACE_CONFLICTS: u64 = 64;
-
 /// Asserts the 6-pigeons-into-5-holes formula (UNSAT, conflict-rich)
 /// into `solver` over `g`.
 fn assert_pigeonhole(g: &mut soccar_smt::TermGraph, solver: &mut soccar_smt::Solver) {
@@ -948,37 +931,23 @@ fn assert_pigeonhole(g: &mut soccar_smt::TermGraph, solver: &mut soccar_smt::Sol
     }
 }
 
-/// Runs the `solver_maintenance` record, two phases over the same
+/// Runs the `solver_maintenance` record: a one-shot solve of the
 /// conflict-rich pigeonhole formula (6 bit-vector pigeons into 5 holes,
-/// UNSAT):
-///
-/// 1. **Maintenance**: one-shot solve under a pinned aggressive
-///    [`soccar_smt::SolverProfile`] (restart interval 2, learnt-DB
-///    reduction from 8 clauses), with the modern-CDCL maintenance
-///    counters `smt.restarts` and `smt.learnt_deleted` gated
-///    **non-zero** (and exact, like every gated counter).
-/// 2. **Sharing race**: a portfolio race on a fresh solver under a
-///    per-profile budget of `SHARING_RACE_CONFLICTS` (64) conflicts —
-///    deliberately too small for the canonical profile's first slice, so
-///    clones are created, learn, and drain their glue clauses back
-///    through the export filter. `smt.shared_imported` and
-///    `smt.portfolio_learnts_discarded` are gated non-zero: without this
-///    phase the bundled SoCs' flip solves (which never outlive the first
-///    slice) would let a silently broken sharing path pass CI. The
-///    solver-speed knobs are pinned on so the record is byte-identical
-///    across `SOCCAR_BVE` / `SOCCAR_CLAUSE_SHARING` /
-///    `SOCCAR_TRAIL_REUSE` legs.
+/// UNSAT) under a pinned aggressive [`soccar_smt::SolverProfile`]
+/// (restart interval 2, learnt-DB reduction from 8 clauses), with the
+/// modern-CDCL maintenance counters `smt.restarts` and
+/// `smt.learnt_deleted` gated **non-zero** (and exact, like every gated
+/// counter).
 ///
 /// The bundled SoCs' own flip solves are conflict-free, so without this
-/// record a regression that silently disabled restarts, learnt-DB
-/// reduction, or clause sharing would pass CI.
+/// record a regression that silently disabled restarts or learnt-DB
+/// reduction would pass CI.
 ///
 /// # Panics
 ///
-/// Panics if the formula stops being UNSAT, or if restarts, learnt-DB
-/// reduction, or clause sharing fail to engage — the regressions this
-/// record exists to catch must fail loudly even before the baseline
-/// diff runs.
+/// Panics if the formula stops being UNSAT, or if restarts or learnt-DB
+/// reduction fail to engage — the regressions this record exists to
+/// catch must fail loudly even before the baseline diff runs.
 #[must_use]
 pub fn solver_maintenance_record() -> soccar_obs::BenchVariant {
     let mut g = soccar_smt::TermGraph::new();
@@ -1011,60 +980,20 @@ pub fn solver_maintenance_record() -> soccar_obs::BenchVariant {
          reduction has silently stopped engaging"
     );
 
-    // Phase 2: the sharing race, on its own recorder so the maintenance
-    // counters above stay exactly what phase 1 produced.
-    let mut race_g = soccar_smt::TermGraph::new();
-    let mut race = soccar_smt::Solver::with_budget(soccar_smt::SolveBudget {
-        max_conflicts: Some(SHARING_RACE_CONFLICTS),
-        max_decisions: None,
-    });
-    race.set_bve(true);
-    race.set_clause_sharing(true);
-    race.set_trail_reuse(true);
-    assert_pigeonhole(&mut race_g, &mut race);
-    let race_recorder = soccar_obs::Recorder::enabled();
-    let (race_result, race_elapsed) = race_recorder.time("bench.solver_maintenance.race", || {
-        race.check_assuming_portfolio_traced(&race_g, &[], &race_recorder)
-    });
-    assert!(
-        !race_result.is_sat(),
-        "the budgeted race must answer Unsat or Unknown on the pigeonhole \
-         formula, got {race_result:?}"
-    );
-    let race_snap = race_recorder.snapshot();
-    let race_counter = |name: &str| race_snap.counters.get(name).copied().unwrap_or(0);
-    assert!(
-        race_counter("smt.shared_imported") > 0,
-        "the budgeted portfolio race imported no clone glue clauses — \
-         clause sharing has silently stopped engaging"
-    );
-    assert!(
-        race_counter("smt.portfolio_learnts_discarded") > 0,
-        "the budgeted portfolio race discarded no clone learnt clauses — \
-         the export filter has silently stopped filtering"
-    );
-
     let mut counters = std::collections::BTreeMap::new();
     for name in ["smt.restarts", "smt.learnt_deleted", "smt.learnt_kept"] {
         counters.insert(name.to_owned(), counter(name));
-    }
-    for name in ["smt.shared_imported", "smt.portfolio_learnts_discarded"] {
-        counters.insert(name.to_owned(), race_counter(name));
     }
     let mut timings_q = std::collections::BTreeMap::new();
     timings_q.insert(
         "solver_maintenance_q".to_owned(),
         soccar_obs::quantize_seconds(elapsed.as_secs_f64()),
     );
-    timings_q.insert(
-        "sharing_race_q".to_owned(),
-        soccar_obs::quantize_seconds(race_elapsed.as_secs_f64()),
-    );
     soccar_obs::BenchVariant {
         variant: "solver_maintenance".to_owned(),
         counters,
         timings_q,
-        seconds_q: soccar_obs::quantize_seconds((elapsed + race_elapsed).as_secs_f64()),
+        seconds_q: soccar_obs::quantize_seconds(elapsed.as_secs_f64()),
     }
 }
 
@@ -1676,17 +1605,12 @@ mod tests {
     }
 
     #[test]
-    fn solver_maintenance_record_engages_both_phases() {
-        // The record self-gates (it panics if restarts, reduction, or
-        // clause sharing fail to engage); this test just keeps it
-        // exercised in the tier-1 suite and pins the counter surface.
+    fn solver_maintenance_record_engages_restarts_and_reduction() {
+        // The record self-gates (it panics if restarts or reduction fail
+        // to engage); this test just keeps it exercised in the tier-1
+        // suite and pins the counter surface.
         let v = solver_maintenance_record();
-        for name in [
-            "smt.restarts",
-            "smt.learnt_deleted",
-            "smt.shared_imported",
-            "smt.portfolio_learnts_discarded",
-        ] {
+        for name in ["smt.restarts", "smt.learnt_deleted"] {
             assert!(
                 v.counters.contains_key(name),
                 "solver_maintenance must record {name}"

@@ -65,9 +65,10 @@ pub struct BranchObservation {
 ///
 /// `term` is the 1-bit "property holds here" formula built from the
 /// monitored net's symbolic shadow at the cycle the check fired. These are
-/// never assumed or asserted — they exist so the incremental flip window can
-/// pre-blast the real proof obligations and carry their clauses across
-/// candidates (see `docs/SOLVER.md`).
+/// never assumed or asserted — they exist so the incremental flip window of
+/// [`crate::FlipWorkload::solve_incremental`] can pre-blast the real proof
+/// obligations and carry their clauses across candidates (see
+/// `docs/SOLVER.md`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckObservation {
     /// The 1-bit holds-term of the property at this occurrence.

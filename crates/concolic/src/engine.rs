@@ -26,8 +26,7 @@
 //!    domain's positions run on the worker pool and are merged back in
 //!    round order.
 
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 use soccar_cfg::bind::BoundEvent;
@@ -100,75 +99,30 @@ pub struct ConcolicConfig {
     /// consults the points `solver_unknown`, `task_panic:flips`, and
     /// `round_timeout`; see `soccar_exec::FaultPlan`.
     pub fault_plan: FaultPlan,
-    /// Use assumption-based incremental solving for the per-round flip
-    /// fan-out: the round's path prefix is bit-blasted once into a shared
-    /// [`Solver`] context and each candidate is discharged with
-    /// `check_assuming` against a cheap clone of the *blasted* state,
-    /// instead of deep-cloning the raw term graph and re-blasting per
-    /// candidate. Identical Sat/Unsat answers, large constant-factor
-    /// speedup. Defaults to on; `SOCCAR_INCREMENTAL=0` (or the CLI's
-    /// `--no-incremental`) selects the one-shot path as an escape hatch.
-    pub incremental: bool,
-    /// Race the deterministic solver portfolio
-    /// ([`soccar_smt::PORTFOLIO_PROFILES`]) on each incremental flip
-    /// solve: diverse `SolverProfile`s (branching seed, phase polarity,
-    /// restart schedule) share the call's budget in a deterministic
-    /// time-sliced rotation, first definite answer wins. Profile 0 runs
-    /// first with a generous opening slice, so healthy workloads answer
-    /// identically with the portfolio on or off — byte-identical reports
-    /// across `SOCCAR_PORTFOLIO={0,1}`. Only consulted on the incremental
-    /// path (one-shot solves are single-profile). Defaults to off;
-    /// `SOCCAR_PORTFOLIO=1` (or the CLI's `--portfolio`) enables it.
-    pub portfolio: bool,
-    /// Cap on symbolic security-check obligations folded into the
-    /// incremental window preblast (most recent first, deduplicated by
-    /// term). The obligations are blast-only — Tseitin-encoded but never
-    /// assumed or asserted, so answers and reports are untouched — and
-    /// give `check_assuming` real clauses to carry across candidates.
-    /// `0` disables the folding.
+    /// Cap on symbolic security-check obligations recorded by the
+    /// [`ConcolicEngine::flip_workload`] round and folded into
+    /// [`FlipWorkload::solve_incremental`]'s window preblast (most recent
+    /// first, deduplicated by term). The obligations are blast-only —
+    /// Tseitin-encoded but never assumed or asserted, so answers and
+    /// reports are untouched. Analysis rounds never record them. `0`
+    /// disables the recording.
     pub max_window_checks: usize,
     /// Bounded variable elimination during solver inprocessing: gate
     /// variables introduced by bit-blasting (carries, comparator
     /// intermediates) are resolved away when the clause database does
     /// not grow, with model reconstruction keeping answers and extracted
-    /// models identical. Defaults to on; `SOCCAR_BVE=0` is the escape
-    /// hatch.
+    /// models identical. Reaches only [`FlipWorkload`]'s solvers: the
+    /// engine's one-shot flip solves never run inprocessing. Defaults to
+    /// on; `SOCCAR_BVE=0` is the escape hatch.
     pub bve: bool,
-    /// Learnt-clause sharing across portfolio profiles: clone profiles
-    /// drain their glue clauses (low LBD, short) back into the base
-    /// solver between time slices instead of learning alone and being
-    /// discarded. Only consulted when [`ConcolicConfig::portfolio`] is
-    /// on. Defaults to on; `SOCCAR_CLAUSE_SHARING=0` is the escape
-    /// hatch.
-    pub clause_sharing: bool,
     /// Trail reuse between `check_assuming` calls: a new call keeps the
     /// longest common prefix of the previous call's assumption trail
     /// instead of backtracking to the assumption floor and
-    /// re-propagating it. Answers are unchanged; per-candidate
-    /// re-propagation cost drops on the flip fan-out's shared prefixes.
-    /// Defaults to on; `SOCCAR_TRAIL_REUSE=0` is the escape hatch.
+    /// re-propagating it. Answers are unchanged. Reaches only
+    /// [`FlipWorkload::solve_incremental`]: the engine's one-shot flip
+    /// solves never call `check_assuming`. Defaults to on;
+    /// `SOCCAR_TRAIL_REUSE=0` is the escape hatch.
     pub trail_reuse: bool,
-}
-
-/// Reads the `SOCCAR_INCREMENTAL` escape hatch: `0`/`false`/`off`
-/// disable incremental flip solving, anything else (or unset) enables it.
-#[must_use]
-pub fn incremental_default() -> bool {
-    !matches!(
-        std::env::var("SOCCAR_INCREMENTAL").as_deref(),
-        Ok("0") | Ok("false") | Ok("off")
-    )
-}
-
-/// Reads the `SOCCAR_PORTFOLIO` opt-in: `1`/`true`/`on` enable the
-/// deterministic solver portfolio, anything else (or unset) keeps the
-/// single-profile default.
-#[must_use]
-pub fn portfolio_default() -> bool {
-    matches!(
-        std::env::var("SOCCAR_PORTFOLIO").as_deref(),
-        Ok("1") | Ok("true") | Ok("on")
-    )
 }
 
 impl Default for ConcolicConfig {
@@ -190,11 +144,8 @@ impl Default for ConcolicConfig {
             round_deadline: None,
             failure_policy: FailurePolicy::FailFast,
             fault_plan: FaultPlan::default(),
-            incremental: incremental_default(),
-            portfolio: portfolio_default(),
             max_window_checks: 4,
             bve: soccar_smt::sat::bve_default(),
-            clause_sharing: soccar_smt::solver::clause_sharing_default(),
             trail_reuse: soccar_smt::sat::trail_reuse_default(),
         }
     }
@@ -241,7 +192,9 @@ pub struct ConcolicReport {
     pub targets_total: usize,
     /// Targets covered.
     pub targets_covered: usize,
-    /// Targets proven out of reach of the controllable inputs.
+    /// Targets the coverage loop gave up on: no controllable domain
+    /// reaches them, or `cycles` reset-pulse attempts never covered them.
+    /// Nothing is proved; the name is kept for report compatibility.
     pub targets_unreachable: usize,
     /// All distinct invalidation messages.
     pub violations: Vec<Violation>,
@@ -310,105 +263,6 @@ impl ConcolicReport {
         } else {
             self.targets_covered as f64 / reachable as f64
         }
-    }
-}
-
-/// A pool of retained pre-blasted incremental base solvers, shared
-/// across engine instances (and hence across analysis-server requests).
-///
-/// Each entry is a frozen [`Solver`] whose [`BlastContext`] holds the CNF
-/// of one round's observation window, keyed by the structural fingerprint
-/// of the window's reachable term DAG plus the solve budget (see
-/// [`TermGraph::reachable_fingerprint`]). A fingerprint match guarantees
-/// every blasted [`TermId`] means the same thing in the new round's
-/// graph, so reusing the context is sound and — because the retained base
-/// was never `check`ed, hence carries no learnt clauses — produces
-/// bit-identical results to rebuilding it.
-///
-/// Rounds whose window diverges simply miss; the pool is a pure
-/// wall-clock optimization. Bounded FIFO eviction keeps the oldest
-/// windows from pinning memory.
-///
-/// [`BlastContext`]: soccar_smt::BlastContext
-#[derive(Debug)]
-pub struct WarmBlastPool {
-    entries: HashMap<u64, Arc<Solver>>,
-    order: VecDeque<u64>,
-    cap: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl WarmBlastPool {
-    /// Creates a pool retaining at most `cap` base contexts.
-    #[must_use]
-    pub fn new(cap: usize) -> WarmBlastPool {
-        WarmBlastPool {
-            entries: HashMap::new(),
-            order: VecDeque::new(),
-            cap: cap.max(1),
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// A pool behind the `Arc<Mutex<…>>` handle the engine consumes.
-    #[must_use]
-    pub fn shared(cap: usize) -> Arc<Mutex<WarmBlastPool>> {
-        Arc::new(Mutex::new(WarmBlastPool::new(cap)))
-    }
-
-    /// The retained base for `key`, if present. Bases are shared by
-    /// handle — a retained base is frozen (pre-blasted, never `check`ed),
-    /// so lookups and stores never deep-copy solver state.
-    #[must_use]
-    pub fn lookup(&mut self, key: u64) -> Option<Arc<Solver>> {
-        match self.entries.get(&key) {
-            Some(s) => {
-                self.hits += 1;
-                Some(Arc::clone(s))
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Retains `base` under `key`, evicting the oldest entry at capacity.
-    pub fn store(&mut self, key: u64, base: Arc<Solver>) {
-        if self.entries.contains_key(&key) {
-            return;
-        }
-        while self.entries.len() >= self.cap {
-            let Some(old) = self.order.pop_front() else {
-                break;
-            };
-            self.entries.remove(&old);
-            self.evictions += 1;
-        }
-        self.entries.insert(key, base);
-        self.order.push_back(key);
-    }
-
-    /// `(hits, misses, evictions)` since construction.
-    #[must_use]
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (self.hits, self.misses, self.evictions)
-    }
-
-    /// Number of retained contexts.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` if nothing is retained.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -487,9 +341,6 @@ pub struct ConcolicEngine<'d> {
     /// Domains owning at least one clock-composed implicit governor
     /// (Refined analysis only); these also get a high-phase sweep.
     clock_composed: Vec<bool>,
-    /// Cross-request pool of pre-blasted incremental bases; `None` (the
-    /// batch default) builds each round's base from scratch.
-    warm_blast: Option<Arc<Mutex<WarmBlastPool>>>,
 }
 
 impl<'d> ConcolicEngine<'d> {
@@ -646,28 +497,16 @@ impl<'d> ConcolicEngine<'d> {
             recorder: soccar_obs::Recorder::disabled(),
             domain_polarity,
             clock_composed,
-            warm_blast: None,
         })
-    }
-
-    /// Attaches a shared [`WarmBlastPool`]: when a round's observation
-    /// window structurally matches a retained entry, the incremental base
-    /// solver is cloned from the pool instead of re-blasted, and the
-    /// reuse is counted as `smt.warm_blast_hits`. Results are unchanged
-    /// either way; only wall-clock time moves. Used by the analysis
-    /// server to keep blast state warm across requests.
-    #[must_use]
-    pub fn with_warm_blast(mut self, pool: Arc<Mutex<WarmBlastPool>>) -> Self {
-        self.warm_blast = Some(pool);
-        self
     }
 
     /// Attaches an observability recorder: each concolic round gets a
     /// `concolic.round` span (sweep phases get per-domain `concolic.sweep`
     /// / `concolic.sweep_high` spans), flip planning feeds the
     /// `concolic.flip_candidates` / `concolic.flip_consumed` /
-    /// `concolic.flip_sat` counters, and every flip solve — including the
-    /// speculative ones — reports through [`Solver::check_traced`].
+    /// `concolic.flip_discarded` / `concolic.flip_sat` counters, and every
+    /// flip solve — including the speculative ones — reports through
+    /// [`Solver::check_traced`].
     ///
     /// Because `plan_next` always solves *all* collected candidates, the
     /// solver metrics are identical for every job count even though the
@@ -710,10 +549,10 @@ impl<'d> ConcolicEngine<'d> {
             let round_started = Instant::now();
             let mut round_span = soccar_obs::span!(self.recorder, "concolic.round", round = rounds);
             let RoundRun {
-                mut sim,
+                sim,
                 violations,
                 reasons,
-            } = self.run_round(&schedule)?;
+            } = self.run_round(&schedule, false)?;
             self.degraded_reasons.extend(reasons);
             for i in self.target_hits(&sim) {
                 self.covered[i] = true;
@@ -731,13 +570,7 @@ impl<'d> ConcolicEngine<'d> {
                 ));
                 break;
             }
-            match self.plan_next(
-                &mut sim,
-                &schedule,
-                rounds,
-                &mut solver_calls,
-                &mut solver_sat,
-            ) {
+            match self.plan_next(&sim, &schedule, rounds, &mut solver_calls, &mut solver_sat) {
                 Some(next) => schedule = next,
                 None => break,
             }
@@ -869,7 +702,7 @@ impl<'d> ConcolicEngine<'d> {
         let mut sweep_span =
             soccar_obs::span!(self.recorder, span, domain = self.domains[di].0.as_str());
         let (results, stats) = soccar_exec::parallel_map_stats(self.config.jobs, schedules, |s| {
-            self.run_round(s).map(|run| SweptRound {
+            self.run_round(s, false).map(|run| SweptRound {
                 hits: self.target_hits(&run.sim),
                 violations: run.violations,
                 reasons: run.reasons,
@@ -894,8 +727,10 @@ impl<'d> ConcolicEngine<'d> {
     /// Monitors that fail to resolve (or error mid-check) come back as
     /// degraded reasons instead of being silently ignored or panicking:
     /// the analysis continues, visibly partial. Takes `&self` so sweep
-    /// rounds can run side by side on the worker pool.
-    fn run_round(&self, schedule: &TestSchedule) -> SimResult<RoundRun<'d>> {
+    /// rounds can run side by side on the worker pool. `record_checks`
+    /// logs the symbolic security-check obligations that only
+    /// [`ConcolicEngine::flip_workload`] reads; analysis rounds skip them.
+    fn run_round(&self, schedule: &TestSchedule, record_checks: bool) -> SimResult<RoundRun<'d>> {
         let mut sim = Simulator::with_algebra(self.design, CoAlgebra::new(), self.config.init);
         let mut reasons = Vec::new();
         let mut monitors: Vec<PropertyMonitor> = Vec::new();
@@ -982,11 +817,11 @@ impl<'d> ConcolicEngine<'d> {
             }
             // Shadow the concrete checks with symbolic proof obligations:
             // whenever a monitored net carries a term, record the 1-bit
-            // "property holds" formula so flip planning can pre-blast it
-            // (blast-only, never assumed — see `ConcolicConfig::
-            // max_window_checks`). Serial and in monitor order, so the
-            // observation log stays deterministic.
-            if self.config.max_window_checks > 0 {
+            // "property holds" formula so `FlipWorkload::solve_incremental`
+            // can pre-blast it (blast-only, never assumed — see
+            // `ConcolicConfig::max_window_checks`). Serial and in monitor
+            // order, so the observation log stays deterministic.
+            if record_checks {
                 for mon in &monitors {
                     if let Some(t) = mon.symbolic_obligation(&mut sim) {
                         sim.algebra_mut().record_check(t);
@@ -1040,7 +875,7 @@ impl<'d> ConcolicEngine<'d> {
     /// whole report are bit-identical for every job count.
     fn plan_next(
         &mut self,
-        sim: &mut Simulator<'d, CoAlgebra>,
+        sim: &Simulator<'d, CoAlgebra>,
         schedule: &TestSchedule,
         round: usize,
         solver_calls: &mut usize,
@@ -1113,163 +948,41 @@ impl<'d> ConcolicEngine<'d> {
         // candidate set is fixed before the fan-out.
         *solver_calls += candidates.len();
         let max_prefix = self.config.max_prefix;
-        let portfolio = self.config.portfolio;
-        let budget = self.config.solver_budget;
         let tuning = SolverTuning {
-            budget,
+            budget: self.config.solver_budget,
             bve: self.config.bve,
-            clause_sharing: self.config.clause_sharing,
             trail_reuse: self.config.trail_reuse,
         };
         let plan = &self.config.fault_plan;
         let recorder = &self.recorder;
-        let (solved, stats) = if self.config.incremental && !candidates.is_empty() {
-            // Incremental path: intern the negated conditions into the
-            // round's own graph (it is append-only and the simulation is
-            // over, so existing TermIds keep their meaning), then blast
-            // the whole observation window ONCE into a frozen base
-            // solver. Workers clone the blasted state — cheap relative to
-            // re-blasting — and discharge their candidate with
-            // retractable assumptions. Each solve is still a pure
-            // function of the frozen round state, so reports stay
-            // bit-identical for every job count.
-            let neg: Vec<TermId> = {
-                let g = &mut sim.algebra_mut().graph;
-                obs.iter().map(|o| g.not(o.cond)).collect()
-            };
-            let extras = recent_check_terms(
-                sim.algebra().check_observations(),
-                self.config.max_window_checks,
-            );
-            let graph = &sim.algebra().graph;
-            let max_k = candidates
-                .iter()
-                .map(|c| c.obs_index)
-                .max()
-                .expect("candidates is non-empty");
-            let window_start = candidates
-                .iter()
-                .map(|c| c.obs_index.saturating_sub(max_prefix))
-                .min()
-                .expect("candidates is non-empty");
-            let mut window = Vec::with_capacity(2 * (max_k + 1 - window_start) + extras.len());
-            for i in window_start..=max_k {
-                window.push(obs[i].cond);
-                window.push(neg[i]);
-            }
-            // The round's symbolic security-check obligations ride along:
-            // blast-only (Tseitin is satisfiability-preserving and nothing
-            // here is assumed), so every answer is unchanged — but the
-            // shared context now carries the checks' real clauses, which
-            // `check_assuming` re-uses across every candidate.
-            window.extend_from_slice(&extras);
-            // A retained base is only valid if every window term means
-            // the same thing, so the pool key is the structural
-            // fingerprint of the window's reachable DAG (plus the budget
-            // baked into the solver).
-            let warm_key = self.warm_blast.as_ref().map(|_| {
-                let mut h = graph.reachable_fingerprint(&window);
-                for id in &window {
-                    h = h.rotate_left(7) ^ u64::from(id.0);
+        let graph = &sim.algebra().graph;
+        let (solved, stats) = soccar_exec::parallel_map_policy(
+            self.config.jobs,
+            &candidates,
+            self.config.failure_policy,
+            |c| {
+                if plan.should_inject("task_panic:flips", c.seq) {
+                    panic!("injected fault: task_panic@flips:{}", c.seq);
                 }
-                h ^ budget.max_conflicts.unwrap_or(u64::MAX).rotate_left(17)
-                    ^ budget.max_decisions.unwrap_or(u64::MAX).rotate_left(31)
-                    ^ u64::from(self.config.portfolio).rotate_left(43)
-                    // The solver-speed knobs are baked into a retained
-                    // base's behavior, so they key the pool too.
-                    ^ u64::from(self.config.bve).rotate_left(47)
-                    ^ u64::from(self.config.clause_sharing).rotate_left(53)
-                    ^ u64::from(self.config.trail_reuse).rotate_left(59)
-            });
-            let warm = warm_key.and_then(|key| {
-                let pool = self.warm_blast.as_ref().expect("key implies pool");
-                let hit = pool.lock().expect("warm-blast pool poisoned").lookup(key);
-                if hit.is_some() {
-                    recorder.counter_add("smt.warm_blast_hits", 1);
+                if plan.should_inject("solver_unknown", c.seq) {
+                    return FlipOutcome::Unknown(format!(
+                        "injected fault: solver_unknown@{}",
+                        c.seq
+                    ));
                 }
-                hit
-            });
-            let base = match warm {
-                Some(base) => base,
-                None => {
-                    let mut base = tuning.build();
-                    base.preblast(graph, &window);
-                    // Shared-prefix blasting work saved while building
-                    // the base context (recorded once; per-call hits are
-                    // recorded by the workers' `check_assuming_traced`).
-                    let base_hits = base.blast_cache_hits();
-                    if base_hits > 0 {
-                        recorder.counter_add("smt.blast_cache_hits", base_hits);
-                    }
-                    let base = Arc::new(base);
-                    if let (Some(key), Some(pool)) = (warm_key, &self.warm_blast) {
-                        pool.lock()
-                            .expect("warm-blast pool poisoned")
-                            .store(key, Arc::clone(&base));
-                    }
-                    base
-                }
-            };
-            let base = &*base;
-            let neg = &neg;
-            soccar_exec::parallel_map_policy(
-                self.config.jobs,
-                &candidates,
-                self.config.failure_policy,
-                |c| {
-                    if plan.should_inject("task_panic:flips", c.seq) {
-                        panic!("injected fault: task_panic@flips:{}", c.seq);
-                    }
-                    if plan.should_inject("solver_unknown", c.seq) {
-                        return FlipOutcome::Unknown(format!(
-                            "injected fault: solver_unknown@{}",
-                            c.seq
-                        ));
-                    }
-                    solve_flip_assuming(
-                        base,
-                        graph,
-                        &obs,
-                        neg,
-                        schedule,
-                        c.obs_index,
-                        c.dir,
-                        max_prefix,
-                        portfolio,
-                        recorder,
-                    )
-                },
-            )
-        } else {
-            let graph = &sim.algebra().graph;
-            soccar_exec::parallel_map_policy(
-                self.config.jobs,
-                &candidates,
-                self.config.failure_policy,
-                |c| {
-                    if plan.should_inject("task_panic:flips", c.seq) {
-                        panic!("injected fault: task_panic@flips:{}", c.seq);
-                    }
-                    if plan.should_inject("solver_unknown", c.seq) {
-                        return FlipOutcome::Unknown(format!(
-                            "injected fault: solver_unknown@{}",
-                            c.seq
-                        ));
-                    }
-                    let mut g = graph.clone();
-                    solve_flip(
-                        &mut g,
-                        &obs,
-                        schedule,
-                        c.obs_index,
-                        c.dir,
-                        max_prefix,
-                        tuning,
-                        recorder,
-                    )
-                },
-            )
-        };
+                let mut g = graph.clone();
+                solve_flip(
+                    &mut g,
+                    &obs,
+                    schedule,
+                    c.obs_index,
+                    c.dir,
+                    max_prefix,
+                    tuning,
+                    recorder,
+                )
+            },
+        );
         self.flip_stats.absorb(&stats);
 
         // Degradation accounting covers EVERY candidate, consumed or
@@ -1305,6 +1018,7 @@ impl<'d> ConcolicEngine<'d> {
         // never fatal, never consumed as answers.
         let mut chosen: Option<TestSchedule> = None;
         let mut ci = 0usize;
+        let mut consumed = 0usize;
         'targets: for (ti, goal, domain_idx) in targets {
             match goal {
                 TargetGoal::Site { .. } => {
@@ -1314,6 +1028,7 @@ impl<'d> ConcolicEngine<'d> {
                         .count();
                     if mine > 0 {
                         for outcome in &solved[ci..ci + mine] {
+                            consumed += 1;
                             self.recorder.counter_add("concolic.flip_consumed", 1);
                             match outcome {
                                 TaskOutcome::Ok(FlipOutcome::Sat(next)) => {
@@ -1345,6 +1060,11 @@ impl<'d> ConcolicEngine<'d> {
                 }
             }
         }
+        // Waste: candidates solved on the pool that the walk never reached.
+        self.recorder.counter_add(
+            "concolic.flip_discarded",
+            (candidates.len() - consumed) as u64,
+        );
         if round_degraded {
             self.degraded_rounds += 1;
         }
@@ -1387,7 +1107,9 @@ impl<'d> ConcolicEngine<'d> {
     pub fn flip_workload(&mut self) -> SimResult<FlipWorkload> {
         let mut schedule = self.base_schedule();
         schedule.randomize(self.config.seed);
-        let mut sim = self.run_round(&schedule)?.sim;
+        let mut sim = self
+            .run_round(&schedule, self.config.max_window_checks > 0)?
+            .sim;
         let observations = sim.algebra().observations().to_vec();
         let neg: Vec<TermId> = {
             let g = &mut sim.algebra_mut().graph;
@@ -1407,7 +1129,6 @@ impl<'d> ConcolicEngine<'d> {
             tuning: SolverTuning {
                 budget: self.config.solver_budget,
                 bve: self.config.bve,
-                clause_sharing: self.config.clause_sharing,
                 trail_reuse: self.config.trail_reuse,
             },
         })
@@ -1450,8 +1171,8 @@ impl FlipWorkload {
     }
 
     /// Solves the candidates one-shot: each clones the term graph and
-    /// re-blasts its whole prefix from scratch (the legacy path, kept as
-    /// the `SOCCAR_INCREMENTAL=0` escape hatch). Returns the SAT count.
+    /// blasts its own prefix from scratch, as the engine's flip fan-out
+    /// does. Returns the SAT count.
     #[must_use]
     pub fn solve_oneshot(&self, cap: usize, recorder: &soccar_obs::Recorder) -> usize {
         let n = self.candidates(cap);
@@ -1476,9 +1197,9 @@ impl FlipWorkload {
     }
 
     /// Solves the same candidates incrementally: the shared window is
-    /// blasted once into a base solver, each candidate runs
-    /// `check_assuming` on a clone of the blasted state. Returns the SAT
-    /// count, which must equal [`FlipWorkload::solve_oneshot`]'s.
+    /// blasted once into a base solver, and each candidate runs
+    /// `check_assuming` on that one context. Returns the SAT count, which
+    /// must equal [`FlipWorkload::solve_oneshot`]'s.
     #[must_use]
     pub fn solve_incremental(&self, cap: usize, recorder: &soccar_obs::Recorder) -> usize {
         let n = self.candidates(cap);
@@ -1510,7 +1231,6 @@ impl FlipWorkload {
                 k,
                 dir,
                 self.max_prefix,
-                false,
                 recorder,
             );
             sat += usize::from(matches!(outcome, FlipOutcome::Sat(_)));
@@ -1542,15 +1262,13 @@ enum FlipOutcome {
 }
 
 /// Solver construction parameters a flip solve inherits from the engine
-/// config: the per-query budget plus the solver-speed knobs (BVE,
-/// portfolio clause sharing, trail reuse). Bundled so one-shot workers,
-/// the incremental base, and the warm-blast pool all build identically
-/// tuned solvers.
+/// config: the per-query budget plus the solver-speed knobs (BVE, trail
+/// reuse). Bundled so the engine's one-shot workers and both
+/// [`FlipWorkload`] strategies build identically tuned solvers.
 #[derive(Debug, Clone, Copy)]
 struct SolverTuning {
     budget: SolveBudget,
     bve: bool,
-    clause_sharing: bool,
     trail_reuse: bool,
 }
 
@@ -1559,7 +1277,6 @@ impl SolverTuning {
     fn build(self) -> Solver {
         let mut s = Solver::with_budget(self.budget);
         s.set_bve(self.bve);
-        s.set_clause_sharing(self.clause_sharing);
         s.set_trail_reuse(self.trail_reuse);
         s
     }
@@ -1607,48 +1324,12 @@ fn solve_flip(
     }
 }
 
-/// The incremental counterpart of [`solve_flip`]: clones the pre-blasted
-/// `base` solver (CNF, learnt clauses, activities — everything but the
-/// search trail) and discharges the same prefix-plus-goal constraint as
-/// *retractable assumptions* via [`Solver::check_assuming`]. `neg[i]`
-/// holds the pre-interned negation of `obs[i].cond`, so workers never
-/// mutate the shared graph.
-///
-/// Still a pure function of the frozen round state `(base, graph, obs,
-/// neg, schedule, k, dir, max_prefix)` — the determinism anchor of the
-/// parallel round.
-#[allow(clippy::too_many_arguments)]
-fn solve_flip_assuming(
-    base: &Solver,
-    graph: &TermGraph,
-    obs: &[BranchObservation],
-    neg: &[TermId],
-    schedule: &TestSchedule,
-    k: usize,
-    dir: bool,
-    max_prefix: usize,
-    portfolio: bool,
-    recorder: &soccar_obs::Recorder,
-) -> FlipOutcome {
-    let mut solver = base.clone();
-    solve_flip_on(
-        &mut solver,
-        graph,
-        obs,
-        neg,
-        schedule,
-        k,
-        dir,
-        max_prefix,
-        portfolio,
-        recorder,
-    )
-}
-
-/// [`solve_flip_assuming`] without the clone: discharges the candidate
-/// directly on `solver`, so a *serial* caller (the `flip_solving`
-/// benchmark) accumulates learnt clauses across candidates on one
-/// context instead of paying a blast-state copy per candidate.
+/// The incremental counterpart of [`solve_flip`], kept for the
+/// `flip_solving` comparison: discharges the same prefix-plus-goal
+/// constraint as *retractable assumptions* via
+/// [`Solver::check_assuming`] on a pre-blasted `solver`, so a serial
+/// caller accumulates learnt clauses across candidates on one context.
+/// `neg[i]` holds the pre-interned negation of `obs[i].cond`.
 #[allow(clippy::too_many_arguments)]
 fn solve_flip_on(
     solver: &mut Solver,
@@ -1659,7 +1340,6 @@ fn solve_flip_on(
     k: usize,
     dir: bool,
     max_prefix: usize,
-    portfolio: bool,
     recorder: &soccar_obs::Recorder,
 ) -> FlipOutcome {
     let prefix_start = k.saturating_sub(max_prefix);
@@ -1668,12 +1348,7 @@ fn solve_flip_on(
         assumptions.push(if o.taken { o.cond } else { neg[i] });
     }
     assumptions.push(if dir { obs[k].cond } else { neg[k] });
-    let result = if portfolio {
-        solver.check_assuming_portfolio_traced(graph, &assumptions, recorder)
-    } else {
-        solver.check_assuming_traced(graph, &assumptions, recorder)
-    };
-    match result {
+    match solver.check_assuming_traced(graph, &assumptions, recorder) {
         CheckResult::Unsat => FlipOutcome::Unsat,
         CheckResult::Unknown { reason } => FlipOutcome::Unknown(reason),
         CheckResult::Sat(model) => {
@@ -1683,8 +1358,8 @@ fn solve_flip_on(
 }
 
 /// The most recent `cap` distinct symbolic check-obligation terms, in
-/// chronological order — the deterministic selection folded into the
-/// incremental window preblast.
+/// chronological order — the deterministic selection folded into
+/// [`FlipWorkload::solve_incremental`]'s window preblast.
 fn recent_check_terms(checks: &[crate::coalg::CheckObservation], cap: usize) -> Vec<TermId> {
     let mut seen = HashSet::new();
     let mut out = Vec::new();
@@ -1935,29 +1610,45 @@ mod tests {
         endmodule";
 
     #[test]
-    fn one_shot_escape_hatch_reaches_same_coverage() {
-        // `incremental: false` pins the legacy clone-and-reblast path
-        // (what `SOCCAR_INCREMENTAL=0` selects); it must still solve the
-        // magic-guarded branch.
-        let report = setup(
-            MAGIC_SRC,
-            vec![],
+    fn flip_waste_counters_partition_the_candidates() {
+        // Every solved candidate is either consumed by the decision walk
+        // or counted as discarded, so the trace shows speculative waste.
+        let recorder = soccar_obs::Recorder::enabled();
+        let unit = parse(FileId(0), MAGIC_SRC).expect("parse");
+        let design = soccar_rtl::elaborate::elaborate(&unit, "top").expect("elaborate");
+        let soc = compose_soc(
+            &unit,
+            "top",
+            &ResetNaming::new(),
             GovernorAnalysis::Explicit,
-            ConcolicConfig {
-                cycles: 10,
-                max_rounds: 16,
-                seed: 7,
-                symbolic_inputs: vec!["top.magic".into()],
-                skip_sweep: true,
-                incremental: false,
-                ..ConcolicConfig::default()
-            },
+        )
+        .expect("compose");
+        let bound = bind_events(&design, &soc).expect("bind");
+        let config = ConcolicConfig {
+            cycles: 10,
+            max_rounds: 16,
+            seed: 7,
+            symbolic_inputs: vec!["top.magic".into()],
+            skip_sweep: true,
+            ..ConcolicConfig::default()
+        };
+        let mut engine = ConcolicEngine::new(&design, &bound, vec![], config)
+            .expect("engine")
+            .with_recorder(recorder.clone());
+        let report = engine.run().expect("run");
+        let snap = recorder.snapshot();
+        let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+        assert_eq!(
+            counter("concolic.flip_candidates"),
+            report.solver_calls as u64
         );
         assert_eq!(
-            report.targets_covered, report.targets_total,
-            "one-shot path must reach the magic-guarded branch: {report:?}"
+            counter("concolic.flip_consumed") + counter("concolic.flip_discarded"),
+            counter("concolic.flip_candidates"),
+            "{:?}",
+            snap.counters
         );
-        assert!(report.solver_sat > 0, "report: {report:?}");
+        assert!(snap.counters.contains_key("concolic.flip_discarded"));
     }
 
     #[test]
@@ -1998,68 +1689,6 @@ mod tests {
         );
         assert!(counter("smt.blast_cache_hits") > 0);
         assert!(counter("smt.clauses_reused") > 0);
-    }
-
-    #[test]
-    fn warm_blast_pool_reuses_bases_without_changing_results() {
-        let unit = parse(FileId(0), MAGIC_SRC).expect("parse");
-        let design = soccar_rtl::elaborate::elaborate(&unit, "top").expect("elaborate");
-        let soc = compose_soc(
-            &unit,
-            "top",
-            &ResetNaming::new(),
-            GovernorAnalysis::Explicit,
-        )
-        .expect("compose");
-        let bound = bind_events(&design, &soc).expect("bind");
-        let config = ConcolicConfig {
-            cycles: 10,
-            max_rounds: 16,
-            seed: 7,
-            symbolic_inputs: vec!["top.magic".into()],
-            skip_sweep: true,
-            incremental: true,
-            ..ConcolicConfig::default()
-        };
-        let cold = {
-            let mut engine =
-                ConcolicEngine::new(&design, &bound, vec![], config.clone()).expect("engine");
-            engine.run().expect("run")
-        };
-
-        // Two warm runs against one shared pool: the first fills it, the
-        // second replays every round from retained bases.
-        let pool = WarmBlastPool::shared(32);
-        let run_warm = |recorder: soccar_obs::Recorder| {
-            let mut engine = ConcolicEngine::new(&design, &bound, vec![], config.clone())
-                .expect("engine")
-                .with_recorder(recorder)
-                .with_warm_blast(Arc::clone(&pool));
-            engine.run().expect("run")
-        };
-        let first = run_warm(soccar_obs::Recorder::disabled());
-        let recorder = soccar_obs::Recorder::enabled();
-        let second = run_warm(recorder.clone());
-
-        for r in [&first, &second] {
-            assert_eq!(r.rounds, cold.rounds);
-            assert_eq!(r.targets_covered, cold.targets_covered);
-            assert_eq!(r.solver_calls, cold.solver_calls);
-            assert_eq!(r.solver_sat, cold.solver_sat);
-            assert_eq!(r.violations.len(), cold.violations.len());
-        }
-        let (hits, _, _) = pool.lock().expect("pool").stats();
-        assert!(hits > 0, "second run must hit retained bases");
-        let snap = recorder.snapshot();
-        assert!(
-            snap.counters
-                .get("smt.warm_blast_hits")
-                .copied()
-                .unwrap_or(0)
-                > 0,
-            "warm hits must surface as a counter: {:?}",
-            snap.counters
-        );
     }
 
     #[test]
@@ -2198,7 +1827,7 @@ mod tests {
             s.add_pulse(0, at, 1);
         });
         for s in &schedules[..2] {
-            let run = probe.run_round(s).expect("round");
+            let run = probe.run_round(s, false).expect("round");
             assert!(
                 run.violations
                     .iter()
@@ -2245,8 +1874,10 @@ mod tests {
 
     #[test]
     fn solver_budget_exhaustion_degrades_instead_of_aborting() {
-        // A zero-decision budget makes every flip solve return Unknown;
-        // the engine must record the skips and still finish the run.
+        // A zero-decision budget makes every flip solve that needs a
+        // branching decision return Unknown (a solve that unit
+        // propagation settles still answers); the engine must record the
+        // skips and still finish the run.
         let report = setup(
             MAGIC_BRANCH,
             vec![],
@@ -2269,8 +1900,19 @@ mod tests {
                 .any(|r| r.contains("budget exhausted")),
             "report: {report:?}"
         );
-        // Unknown flips are skipped, never consumed as SAT.
-        assert_eq!(report.solver_sat, 0, "report: {report:?}");
+        // Pinned for this deterministic design: of the four flip solves,
+        // one needs a decision and comes back Unknown (skipped, never
+        // consumed as SAT), one is settled SAT without any decision,
+        // and two are UNSAT.
+        assert_eq!(
+            (
+                report.solver_calls,
+                report.solver_sat,
+                report.solver_unknown
+            ),
+            (4, 1, 1),
+            "report: {report:?}"
+        );
     }
 
     #[test]

@@ -28,9 +28,6 @@ pub mod property;
 pub mod schedule;
 
 pub use coalg::{BranchObservation, CheckObservation, CoAlgebra, CoValue};
-pub use engine::{
-    incremental_default, portfolio_default, ConcolicConfig, ConcolicEngine, ConcolicReport,
-    FlipWorkload, WarmBlastPool, Witness,
-};
+pub use engine::{ConcolicConfig, ConcolicEngine, ConcolicReport, FlipWorkload, Witness};
 pub use property::{PropertyKind, PropertyMonitor, SecurityProperty, Violation};
 pub use schedule::{InputTrack, ResetTrack, TestSchedule};

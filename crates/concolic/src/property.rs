@@ -297,7 +297,8 @@ impl PropertyMonitor {
     ///
     /// The term is a *proof obligation*, not an assumption: callers record
     /// it as a [`crate::coalg::CheckObservation`] so the incremental flip
-    /// window can pre-blast real security-check formulas (Tseitin-only,
+    /// window of [`crate::FlipWorkload::solve_incremental`] can pre-blast
+    /// real security-check formulas (Tseitin-only,
     /// satisfiability-preserving — answers never change). The gating
     /// mirrors [`PropertyMonitor::check_cycle`] modulo grace-window
     /// bookkeeping, which only suppresses *reports*, never obligations.

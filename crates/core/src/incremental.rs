@@ -27,14 +27,14 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serde::Serialize;
 use soccar_cfg::bind::BoundEvent;
 use soccar_cfg::extract::{extract_module_cfg, project_ar_cfg, ArCfg};
 use soccar_cfg::{bind_events, compose_soc_prepared};
-use soccar_concolic::{ConcolicEngine, ConcolicReport, SecurityProperty, WarmBlastPool};
+use soccar_concolic::{ConcolicEngine, ConcolicReport, SecurityProperty};
 use soccar_lint::Linter;
 use soccar_rtl::ast::Module;
 use soccar_rtl::elaborate::elaborate;
@@ -137,8 +137,6 @@ pub struct CacheCaps {
     pub concolic: usize,
     /// Report tier: full analysis reports.
     pub report: usize,
-    /// Warm-blast tier: retained pre-blasted solver bases.
-    pub warm_blast: usize,
 }
 
 impl Default for CacheCaps {
@@ -149,7 +147,6 @@ impl Default for CacheCaps {
             design: 8,
             concolic: 64,
             report: 64,
-            warm_blast: 64,
         }
     }
 }
@@ -309,7 +306,6 @@ pub struct AnalysisSession {
     design_cache: CostAwareMap<DesignKey, Arc<DesignEntry>>,
     concolic_cache: CostAwareMap<u64, ConcolicEntry>,
     report_cache: CostAwareMap<u64, AnalysisReport>,
-    warm_blast: Arc<Mutex<WarmBlastPool>>,
     counters: SessionCounters,
 }
 
@@ -332,7 +328,6 @@ impl AnalysisSession {
             design_cache: CostAwareMap::new(caps.design),
             concolic_cache: CostAwareMap::new(caps.concolic),
             report_cache: CostAwareMap::new(caps.report),
-            warm_blast: WarmBlastPool::shared(caps.warm_blast),
             counters: SessionCounters::default(),
         }
     }
@@ -619,8 +614,7 @@ impl AnalysisSession {
                     concolic_config,
                 )
                 .map_err(SoccarError::Config)?
-                .with_recorder(self.recorder.clone())
-                .with_warm_blast(Arc::clone(&self.warm_blast));
+                .with_recorder(self.recorder.clone());
                 let report = engine.run()?;
                 stats.targets_rerun = report.targets_total;
                 if cacheable_results {

@@ -342,7 +342,9 @@ pub struct CanonicalConcolic<'a> {
     pub targets_total: usize,
     /// Targets covered.
     pub targets_covered: usize,
-    /// Targets proven unreachable.
+    /// Targets the coverage loop gave up on (no controllable domain
+    /// reaches them, or `cycles` pulse attempts missed). Not a proof of
+    /// unreachability.
     pub targets_unreachable: usize,
     /// Solver invocations (job-count invariant).
     pub solver_calls: usize,

@@ -190,7 +190,6 @@ pub fn resolve_request(
                 None => soccar_smt::SolveBudget::UNLIMITED,
             },
             round_deadline: req.round_deadline_ms.map(std::time::Duration::from_millis),
-            incremental: soccar_concolic::incremental_default(),
             ..ConcolicConfig::default()
         },
         keep_going: req.keep_going,

@@ -46,7 +46,5 @@ pub mod term;
 
 pub use bv::BvVal;
 pub use sat::{SolveBudget, SolverProfile};
-pub use solver::{
-    model_satisfies, BlastContext, CheckResult, Model, SolveStats, Solver, PORTFOLIO_PROFILES,
-};
+pub use solver::{model_satisfies, BlastContext, CheckResult, Model, SolveStats, Solver};
 pub use term::{Term, TermGraph, TermId};

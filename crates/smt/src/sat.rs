@@ -21,11 +21,7 @@
 //!   assumption trail instead of re-propagating it from scratch
 //!   (`SOCCAR_TRAIL_REUSE=0` disables);
 //! * deterministic [`SolverProfile`]s (branching seed, phase polarity,
-//!   restart schedule) so a portfolio can race diverse configurations of
-//!   the same search without sacrificing reproducibility, plus a
-//!   learnt-clause export/import surface ([`SatSolver::export_learnts`],
-//!   [`SatSolver::import_learnt`]) so portfolio members can share glue
-//!   clauses instead of learning alone.
+//!   restart schedule) that steer the search without changing answers.
 
 use std::fmt;
 
@@ -169,8 +165,8 @@ impl SolveBudget {
     }
 }
 
-/// A deterministic solver configuration: everything that legitimately
-/// varies between portfolio members without changing *answers*.
+/// A deterministic solver configuration: everything that may vary
+/// between searches of the same clauses without changing *answers*.
 ///
 /// Two solvers over the same clauses always agree on Sat/Unsat whatever
 /// their profiles; profiles only steer *which* model a Sat search finds
@@ -223,10 +219,6 @@ struct Clause {
     learnt: bool,
     /// Literal-block distance at learn time (0 for originals).
     lbd: u32,
-    /// `clauses_added` snapshot when this clause entered the database —
-    /// a birth stamp so portfolio clause sharing can export exactly the
-    /// clauses learnt after a given mark (see [`SatSolver::export_learnts`]).
-    birth: u64,
 }
 
 /// The CDCL solver.
@@ -431,29 +423,6 @@ impl SatSolver {
         self.frozen[v.0 as usize] = true;
     }
 
-    /// Exports the live learnt clauses born after `mark` (a
-    /// [`SatSolver::clauses_added`] snapshot) that pass the sharing
-    /// filter: LBD ≤ `max_lbd` and at most `max_len` literals. Clause
-    /// order follows database order, so the export is deterministic.
-    #[must_use]
-    pub fn export_learnts(&self, mark: u64, max_lbd: u32, max_len: usize) -> Vec<(Vec<Lit>, u32)> {
-        self.clauses
-            .iter()
-            .filter(|c| c.learnt && c.birth >= mark && c.lbd <= max_lbd && c.lits.len() <= max_len)
-            .map(|c| (c.lits.clone(), c.lbd))
-            .collect()
-    }
-
-    /// Imports a clause learnt by another solver over the *same variable
-    /// numbering* (a portfolio clone). The clause enters the learnt
-    /// database with the exporter's LBD and is eligible for reduction
-    /// like any local learnt. Returns `true` if the clause (or a unit
-    /// derived from it) was actually added. Like [`SatSolver::add_clause`]
-    /// this retracts the trail to level 0 first.
-    pub fn import_learnt(&mut self, lits: &[Lit], lbd: u32) -> bool {
-        self.add_clause_with(lits, true, lbd)
-    }
-
     /// The active [`SolverProfile`].
     #[must_use]
     pub fn profile(&self) -> SolverProfile {
@@ -462,8 +431,8 @@ impl SatSolver {
 
     /// Installs a profile. Switching `invert_phase` flips every saved
     /// phase once (idempotent: re-installing the same profile is a
-    /// no-op), so a freshly cloned portfolio member explores the
-    /// complementary polarity space.
+    /// no-op), so a cloned solver explores the complementary polarity
+    /// space.
     pub fn set_profile(&mut self, profile: SolverProfile) {
         if profile.invert_phase != self.profile.invert_phase {
             for ph in &mut self.phase {
@@ -507,15 +476,8 @@ impl SatSolver {
     /// A unit landed on a stale search trail would be popped — and
     /// silently lost — by the next solve's entry backtrack.
     pub fn add_clause(&mut self, lits: &[Lit]) {
-        self.add_clause_with(lits, false, 0);
-    }
-
-    /// Shared implementation of [`SatSolver::add_clause`] (original
-    /// clauses) and [`SatSolver::import_learnt`] (shared learnt clauses).
-    /// Returns `true` if a clause or unit actually entered the database.
-    fn add_clause_with(&mut self, lits: &[Lit], learnt: bool, lbd: u32) -> bool {
         if self.unsat {
-            return false;
+            return;
         }
         debug_assert!(
             lits.iter().all(|l| !self.eliminated[l.var().0 as usize]),
@@ -532,7 +494,7 @@ impl SatSolver {
         ls.sort_unstable();
         ls.dedup();
         if ls.windows(2).any(|w| w[0].var() == w[1].var()) {
-            return false; // x ∨ ¬x: tautology
+            return; // x ∨ ¬x: tautology
         }
         // Drop literals already false at level 0; satisfied clauses vanish.
         ls.retain(|l| !(self.value_lit(*l) == Some(false) && self.levels[l.var().0 as usize] == 0));
@@ -540,18 +502,14 @@ impl SatSolver {
             .iter()
             .any(|l| self.value_lit(*l) == Some(true) && self.levels[l.var().0 as usize] == 0)
         {
-            return false;
+            return;
         }
         match ls.len() {
-            0 => {
-                self.unsat = true;
-                true
-            }
+            0 => self.unsat = true,
             1 => {
                 if !self.enqueue(ls[0], None) {
                     self.unsat = true;
                 }
-                true
             }
             _ => {
                 let idx = self.clauses.len() as u32;
@@ -559,15 +517,10 @@ impl SatSolver {
                 self.watches[ls[1].negate().index()].push(idx);
                 self.clauses.push(Clause {
                     lits: ls,
-                    learnt,
-                    lbd,
-                    birth: self.clauses_added,
+                    learnt: false,
+                    lbd: 0,
                 });
                 self.clauses_added += 1;
-                if learnt {
-                    self.num_learnts += 1;
-                }
-                true
             }
         }
     }
@@ -792,7 +745,8 @@ impl SatSolver {
                 let act = self.activity[v];
                 // Seed 0 keeps the canonical first-maximum scan; other
                 // seeds break activity ties by a deterministic rank so
-                // portfolio members branch differently from move one.
+                // differently seeded solvers branch differently from move
+                // one.
                 let better = act > best_act
                     || (seed != 0
                         && act == best_act
@@ -939,7 +893,6 @@ impl SatSolver {
                             lits: learnt,
                             learnt: true,
                             lbd,
-                            birth: self.clauses_added,
                         });
                         self.clauses_added += 1;
                         self.num_learnts += 1;
@@ -1273,7 +1226,6 @@ impl SatSolver {
                             lits: r,
                             learnt: false,
                             lbd: 0,
-                            birth: self.clauses_added,
                         });
                     }
                 }
@@ -2334,34 +2286,6 @@ mod tests {
             reusing.propagations(),
             classic.propagations()
         );
-    }
-
-    #[test]
-    fn export_import_shares_learnt_clauses() {
-        // A learns on a hard instance; its post-mark glue clauses import
-        // into B (same numbering, same clauses) without changing answers.
-        let mut a = pigeonhole(6, 5);
-        let mark = a.clauses_added();
-        assert_eq!(a.solve(), SatOutcome::Unsat);
-        let shared = a.export_learnts(mark, 4, 16);
-        assert!(
-            !shared.is_empty(),
-            "a hard UNSAT search should produce shareable glue clauses"
-        );
-        let mut b = pigeonhole(6, 5);
-        let before = b.num_learnts();
-        let mut imported = 0u64;
-        for (lits, lbd) in &shared {
-            if b.import_learnt(lits, *lbd) {
-                imported += 1;
-            }
-        }
-        assert!(imported > 0);
-        assert!(b.num_learnts() >= before);
-        assert_eq!(b.solve(), SatOutcome::Unsat);
-        // Export filter honors the mark: nothing born before it leaks.
-        let none = a.export_learnts(a.clauses_added(), 4, 16);
-        assert!(none.is_empty());
     }
 
     #[test]

@@ -8,88 +8,9 @@ use crate::bv::BvVal;
 use crate::sat::{SatOutcome, SolveBudget, SolverProfile};
 use crate::term::{Term, TermGraph, TermId};
 
-/// The profiles [`Solver::check_assuming_portfolio_traced`] races.
-///
-/// Profile 0 is the canonical default configuration; it always runs
-/// first in every rotation round, on the solver itself (so its learnt
-/// clauses persist across calls). The others differ in branching seed,
-/// phase polarity, and restart schedule — enough diversity to escape
-/// pathological searches, while any profile's definite answer is the
-/// same Sat/Unsat verdict.
-pub const PORTFOLIO_PROFILES: [SolverProfile; 3] = [
-    SolverProfile {
-        seed: 0,
-        invert_phase: false,
-        restart_base: 100,
-        reduce_base: 2000,
-    },
-    SolverProfile {
-        seed: 0x9E37_79B9_7F4A_7C15,
-        invert_phase: true,
-        restart_base: 100,
-        reduce_base: 2000,
-    },
-    SolverProfile {
-        seed: 0xD1B5_4A32_D192_ED03,
-        invert_phase: false,
-        restart_base: 50,
-        reduce_base: 2000,
-    },
-];
-
-/// First conflict slice of the portfolio rotation. Deliberately generous:
-/// any query the canonical profile finishes within this many conflicts
-/// gets byte-identical answers whether the portfolio is on or off,
-/// because no other profile ever runs. Slices double per rotation round,
-/// so an unbudgeted race always terminates.
-const PORTFOLIO_FIRST_SLICE: u64 = 4096;
-
 /// Clause-database growth (in clauses ever added) between two bounded
 /// inprocessing passes on an incremental context.
 const INPROCESS_GROWTH: u64 = 512;
-
-/// Export filter for portfolio clause sharing: only glue clauses (LBD at
-/// most this) flow from clones back into the base solver.
-pub const SHARE_MAX_LBD: u32 = 4;
-
-/// Export filter for portfolio clause sharing: size cap on shared clauses.
-pub const SHARE_MAX_LEN: usize = 16;
-
-/// Reads the `SOCCAR_CLAUSE_SHARING` escape hatch: `0`/`false`/`off`
-/// disable learnt-clause sharing between portfolio profiles, anything
-/// else (or unset) enables it.
-#[must_use]
-pub fn clause_sharing_default() -> bool {
-    !matches!(
-        std::env::var("SOCCAR_CLAUSE_SHARING").as_deref(),
-        Ok("0") | Ok("false") | Ok("off")
-    )
-}
-
-/// Learnt-clause flow of one portfolio race: clauses imported into the
-/// base solver from clone profiles, and clone learnts that were thrown
-/// away with the clones.
-#[derive(Debug, Clone, Copy, Default)]
-struct SharingDelta {
-    imported: u64,
-    discarded: u64,
-}
-
-/// Learnt clauses the race's clones produced that never passed the
-/// export filter — they die with the clones. Clones only ever learn
-/// (the blast surface is fixed for the duration of a race), so the
-/// `clauses_added` delta since the clone point counts learnts exactly.
-fn portfolio_discarded(clones: &[Option<Solver>], births: &[u64], exported: &[u64]) -> u64 {
-    clones
-        .iter()
-        .zip(births.iter().zip(exported))
-        .filter_map(|(c, (b, e))| {
-            let c = c.as_ref()?;
-            let added = c.ctx.as_ref().map_or(*b, |x| x.bb.solver.clauses_added());
-            Some(added.saturating_sub(*b).saturating_sub(*e))
-        })
-        .sum()
-}
 
 /// A satisfying assignment for the asserted formula.
 ///
@@ -208,8 +129,7 @@ pub struct SolveStats {
 /// and relies on the graph being append-only: existing `TermId`s never
 /// change meaning, so cached literal vectors stay correct as the graph
 /// grows. Cloning a `Solver` clones the context too — clones share no
-/// state, which is how the concolic engine hands each worker a cheap
-/// private copy of an already-blasted round prefix.
+/// state.
 #[derive(Debug, Clone)]
 pub struct BlastContext {
     bb: BitBlaster,
@@ -272,12 +192,11 @@ pub struct Solver {
     profile: SolverProfile,
     bve: bool,
     trail_reuse: bool,
-    clause_sharing: bool,
 }
 
 impl Default for Solver {
     /// An empty solver with the environment-default solver-speed knobs
-    /// (`SOCCAR_BVE`, `SOCCAR_TRAIL_REUSE`, `SOCCAR_CLAUSE_SHARING`).
+    /// (`SOCCAR_BVE`, `SOCCAR_TRAIL_REUSE`).
     fn default() -> Solver {
         Solver {
             assertions: Vec::new(),
@@ -287,7 +206,6 @@ impl Default for Solver {
             profile: SolverProfile::default(),
             bve: crate::sat::bve_default(),
             trail_reuse: crate::sat::trail_reuse_default(),
-            clause_sharing: clause_sharing_default(),
         }
     }
 }
@@ -354,13 +272,6 @@ impl Solver {
         if let Some(ctx) = self.ctx.as_mut() {
             ctx.bb.solver.set_trail_reuse(on);
         }
-    }
-
-    /// Pins portfolio clause sharing on or off, overriding
-    /// `SOCCAR_CLAUSE_SHARING`. Only
-    /// [`Solver::check_assuming_portfolio_traced`] consults it.
-    pub fn set_clause_sharing(&mut self, on: bool) {
-        self.clause_sharing = on;
     }
 
     /// Adds a 1-bit assertion.
@@ -598,80 +509,12 @@ impl Solver {
         assumptions: &[TermId],
         recorder: &soccar_obs::Recorder,
     ) -> CheckResult {
-        let entry = self.assuming_entry_marks();
-        let result = self.check_assuming_inner(graph, assumptions);
-        self.record_assuming_metrics(recorder, entry, &result);
-        self.maintain_ctx(recorder);
-        result
-    }
-
-    /// Like [`Solver::check_assuming_traced`], but races the
-    /// [`PORTFOLIO_PROFILES`] over the query in deterministic,
-    /// geometrically growing conflict slices: the canonical profile 0
-    /// runs first in every rotation round (on this solver, so its learnt
-    /// clauses persist), the others on lazily created clones that are
-    /// discarded afterwards. The first definite answer wins; a win by a
-    /// non-canonical profile bumps `smt.portfolio_wins`.
-    ///
-    /// After every clone slice (including a winning one), the clone's
-    /// fresh glue clauses — learnt after the clone's export mark, LBD ≤
-    /// [`SHARE_MAX_LBD`], at most [`SHARE_MAX_LEN`] literals — drain
-    /// back into this solver's clause database in deterministic clause
-    /// order, so clone work survives the clone (`smt.shared_imported`).
-    /// Learnt clauses that fail the export filter die with the clone and
-    /// are tallied as `smt.portfolio_learnts_discarded`.
-    ///
-    /// Determinism: the rotation order, slice schedule, clone points,
-    /// and export filter are fixed, so the same query on the same state
-    /// always returns the same result — and any query profile 0 finishes
-    /// within the first slice returns exactly what
-    /// [`Solver::check_assuming_traced`] would (clones, and therefore
-    /// sharing, only exist once the race outlives profile 0's first
-    /// slice). The configured [`SolveBudget`] applies *per profile*;
-    /// `Unknown` is returned only once every profile has exhausted it.
-    ///
-    /// # Panics
-    ///
-    /// As [`Solver::check_assuming`].
-    pub fn check_assuming_portfolio_traced(
-        &mut self,
-        graph: &TermGraph,
-        assumptions: &[TermId],
-        recorder: &soccar_obs::Recorder,
-    ) -> CheckResult {
-        let entry = self.assuming_entry_marks();
-        let (result, winner, sharing) = self.check_assuming_portfolio_inner(graph, assumptions);
-        if winner > 0 {
-            recorder.counter_add("smt.portfolio_wins", 1);
-        }
-        if sharing.imported > 0 {
-            recorder.counter_add("smt.shared_imported", sharing.imported);
-        }
-        if sharing.discarded > 0 {
-            recorder.counter_add("smt.portfolio_learnts_discarded", sharing.discarded);
-        }
-        self.record_assuming_metrics(recorder, entry, &result);
-        self.maintain_ctx(recorder);
-        result
-    }
-
-    /// `(blast cache hits, clauses ever added, reuse mark)` at call entry.
-    fn assuming_entry_marks(&self) -> (u64, u64, u64) {
-        let hits = self.blast_cache_hits();
-        let (added, counted) = self
+        let hits_at_entry = self.blast_cache_hits();
+        let (added_at_entry, counted_at_entry) = self
             .ctx
             .as_ref()
             .map_or((0, 0), |c| (c.bb.solver.clauses_added(), c.counted_clauses));
-        (hits, added, counted)
-    }
-
-    /// The shared metrics tail of the incremental entry points.
-    fn record_assuming_metrics(
-        &mut self,
-        recorder: &soccar_obs::Recorder,
-        (hits_at_entry, added_at_entry, counted_at_entry): (u64, u64, u64),
-        result: &CheckResult,
-    ) {
+        let result = self.check_assuming_inner(graph, assumptions);
         recorder.counter_add("smt.queries", 1);
         recorder.counter_add("smt.incremental_calls", 1);
         recorder.counter_add(
@@ -694,6 +537,8 @@ impl Solver {
             ctx.counted_clauses = ctx.counted_clauses.max(added_at_entry);
         }
         self.record_solve_metrics(recorder);
+        self.maintain_ctx(recorder);
+        result
     }
 
     /// Bounded inprocessing between `check_assuming` calls, triggered by
@@ -731,151 +576,6 @@ impl Solver {
         if eliminated > 0 {
             recorder.counter_add("smt.eliminated_vars", eliminated);
         }
-    }
-
-    /// The deterministic portfolio race; returns the result, the index
-    /// of the winning profile (0 when no profile answered), and the
-    /// clause-sharing tally for the race.
-    fn check_assuming_portfolio_inner(
-        &mut self,
-        graph: &TermGraph,
-        assumptions: &[TermId],
-    ) -> (CheckResult, usize, SharingDelta) {
-        let user = self.budget;
-        let n = PORTFOLIO_PROFILES.len();
-        let mut clones: Vec<Option<Solver>> = (0..n).map(|_| None).collect();
-        let mut spent_conflicts = vec![0u64; n];
-        let mut spent_decisions = vec![0u64; n];
-        let mut ran = vec![false; n];
-        let mut done = vec![false; n];
-        // Per-clone sharing state: `clauses_added` at the clone point
-        // (everything older is already in the base database) and the
-        // export high-water mark advanced by each drain.
-        let mut clone_births = vec![0u64; n];
-        let mut export_marks = vec![0u64; n];
-        let mut exported = vec![0u64; n];
-        let mut delta = SharingDelta::default();
-        let mut slice = PORTFOLIO_FIRST_SLICE;
-        loop {
-            let mut all_done = true;
-            for p in 0..n {
-                if done[p] {
-                    continue;
-                }
-                let rem_c = user
-                    .max_conflicts
-                    .map(|m| m.saturating_sub(spent_conflicts[p]));
-                let rem_d = user
-                    .max_decisions
-                    .map(|m| m.saturating_sub(spent_decisions[p]));
-                // A profile that has run at least once and exhausted the
-                // per-profile user budget is out of the race. (Before the
-                // first run even a zero budget gets one call, preserving
-                // the single-profile semantics of degenerate budgets.)
-                if ran[p] && (rem_c == Some(0) || rem_d == Some(0)) {
-                    done[p] = true;
-                    continue;
-                }
-                all_done = false;
-                let call_budget = SolveBudget {
-                    max_conflicts: Some(rem_c.map_or(slice, |r| r.min(slice))),
-                    max_decisions: rem_d,
-                };
-                let (outcome, stats) = if p == 0 {
-                    let saved = self.budget;
-                    self.budget = call_budget;
-                    let r = self.check_assuming_inner(graph, assumptions);
-                    self.budget = saved;
-                    (r, self.last_stats)
-                } else {
-                    if clones[p].is_none() {
-                        // Lazy clone seeded from the canonical member's
-                        // current state: earlier slices' learnt clauses
-                        // are shared, and the clone point is a fixed
-                        // position in the rotation, so it is as
-                        // deterministic as an eager clone.
-                        let mut c = self.clone();
-                        c.set_profile(PORTFOLIO_PROFILES[p]);
-                        let born = c.ctx.as_ref().map_or(0, |x| x.bb.solver.clauses_added());
-                        clone_births[p] = born;
-                        export_marks[p] = born;
-                        clones[p] = Some(c);
-                    }
-                    let c = clones[p].as_mut().expect("clone just created");
-                    c.budget = call_budget;
-                    let r = c.check_assuming_inner(graph, assumptions);
-                    (r, c.last_stats)
-                };
-                ran[p] = true;
-                spent_conflicts[p] += stats.conflicts;
-                spent_decisions[p] += stats.decisions;
-                if p != 0 && self.clause_sharing {
-                    // Drain the clone's fresh glue clauses into the base
-                    // database between slices (and before a winning
-                    // return), so clone work survives the clone.
-                    let c = clones[p].as_ref().expect("clone just ran");
-                    let (passed, imported, next_mark) =
-                        self.drain_clone_exports(c, export_marks[p]);
-                    exported[p] += passed;
-                    delta.imported += imported;
-                    export_marks[p] = next_mark;
-                }
-                match outcome {
-                    CheckResult::Unknown { .. } => {}
-                    definite => {
-                        if p != 0 {
-                            // Surface the winner's per-call stats (the
-                            // model inside `definite` is already the
-                            // winner's).
-                            self.last_stats = stats;
-                        }
-                        delta.discarded = portfolio_discarded(&clones, &clone_births, &exported);
-                        return (definite, p, delta);
-                    }
-                }
-            }
-            if all_done {
-                delta.discarded = portfolio_discarded(&clones, &clone_births, &exported);
-                return (
-                    CheckResult::Unknown {
-                        reason: format!("solver budget exhausted across {n} portfolio profiles"),
-                    },
-                    0,
-                    delta,
-                );
-            }
-            slice = slice.saturating_mul(2);
-        }
-    }
-
-    /// Imports `clone`'s learnt clauses born at or after `mark` that
-    /// pass the sharing filter (LBD ≤ [`SHARE_MAX_LBD`], at most
-    /// [`SHARE_MAX_LEN`] literals) into this solver's blast context, in
-    /// clause-database order. Returns `(filter passes, actual imports,
-    /// clone's new export mark)` — an import is a no-op (counted as a
-    /// pass but not an import) when the base database already satisfies
-    /// the clause at level 0.
-    fn drain_clone_exports(&mut self, clone: &Solver, mark: u64) -> (u64, u64, u64) {
-        let Some(src) = clone.ctx.as_ref() else {
-            return (0, 0, mark);
-        };
-        let next_mark = src.bb.solver.clauses_added();
-        let Some(dst) = self.ctx.as_mut() else {
-            return (0, 0, next_mark);
-        };
-        let mut passed = 0;
-        let mut imported = 0;
-        for (lits, lbd) in src
-            .bb
-            .solver
-            .export_learnts(mark, SHARE_MAX_LBD, SHARE_MAX_LEN)
-        {
-            passed += 1;
-            if dst.bb.solver.import_learnt(&lits, lbd) {
-                imported += 1;
-            }
-        }
-        (passed, imported, next_mark)
     }
 
     fn check_assuming_inner(&mut self, graph: &TermGraph, assumptions: &[TermId]) -> CheckResult {

@@ -82,44 +82,6 @@ pub enum Term {
     RedXor(TermId),
 }
 
-impl Term {
-    /// Calls `f` on each operand term id, in operand order.
-    pub fn for_each_operand(&self, mut f: impl FnMut(TermId)) {
-        match self {
-            Term::Var(_) | Term::Const(_) => {}
-            Term::Not(a)
-            | Term::RedAnd(a)
-            | Term::RedOr(a)
-            | Term::RedXor(a)
-            | Term::Extract { arg: a, .. }
-            | Term::ZExt { arg: a, .. } => f(*a),
-            Term::And(a, b)
-            | Term::Or(a, b)
-            | Term::Xor(a, b)
-            | Term::Add(a, b)
-            | Term::Sub(a, b)
-            | Term::Mul(a, b)
-            | Term::Udiv(a, b)
-            | Term::Urem(a, b)
-            | Term::Shl(a, b)
-            | Term::Lshr(a, b)
-            | Term::Ashr(a, b)
-            | Term::Eq(a, b)
-            | Term::Ult(a, b)
-            | Term::Ule(a, b)
-            | Term::Concat(a, b) => {
-                f(*a);
-                f(*b);
-            }
-            Term::Ite(c, t, e) => {
-                f(*c);
-                f(*t);
-                f(*e);
-            }
-        }
-    }
-}
-
 /// The arena of hash-consed terms.
 ///
 /// # Examples
@@ -193,55 +155,6 @@ impl TermGraph {
             Term::Const(c) => Some(c),
             _ => None,
         }
-    }
-
-    /// Deterministic structural fingerprint of the sub-DAG reachable from
-    /// `roots`: an FNV-1a hash over `(id, node, width)` of every reachable
-    /// term, visited in ascending id order.
-    ///
-    /// Two graphs with equal fingerprints for the same roots assign
-    /// identical meaning to every reachable [`TermId`], so solver state
-    /// blasted against one (CNF clauses, learnt clauses) remains valid
-    /// against the other. The analysis server uses this as the key for
-    /// retaining warm [`crate::solver::Solver`] base contexts across
-    /// requests.
-    #[must_use]
-    pub fn reachable_fingerprint(&self, roots: &[TermId]) -> u64 {
-        let mut seen = vec![false; self.terms.len()];
-        let mut stack: Vec<TermId> = Vec::with_capacity(roots.len());
-        for &r in roots {
-            if !seen[r.0 as usize] {
-                seen[r.0 as usize] = true;
-                stack.push(r);
-            }
-        }
-        while let Some(id) = stack.pop() {
-            self.term(id).for_each_operand(|op| {
-                if !seen[op.0 as usize] {
-                    seen[op.0 as usize] = true;
-                    stack.push(op);
-                }
-            });
-        }
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        for (i, reachable) in seen.iter().enumerate() {
-            if !reachable {
-                continue;
-            }
-            let id = TermId(i as u32);
-            // Debug form is a stable, lossless rendering of the node
-            // (variant name, operand ids, constant bits).
-            eat(format!("{i}:{:?}@{};", self.term(id), self.width(id)).as_bytes());
-        }
-        h
     }
 
     fn intern(&mut self, t: Term, width: u32) -> TermId {
@@ -844,46 +757,6 @@ mod tests {
         let b = g.add(y, x); // commutative normalization
         assert_eq!(a, b);
         assert_eq!(g.var("x", 8), x);
-    }
-
-    #[test]
-    fn reachable_fingerprint_tracks_structure_not_garbage() {
-        let build = |extra: bool| {
-            let mut g = TermGraph::new();
-            let x = g.var("x", 8);
-            let y = g.var("y", 8);
-            let sum = g.add(x, y);
-            let c = g.const_u64(8, 7);
-            let root = g.eq(sum, c);
-            if extra {
-                // Unreachable from `root`: must not affect the fingerprint.
-                let z = g.var("z", 8);
-                g.mul(z, z);
-            }
-            (g, root)
-        };
-        let (g1, r1) = build(false);
-        let (g2, r2) = build(true);
-        assert_eq!(r1, r2);
-        assert_eq!(
-            g1.reachable_fingerprint(&[r1]),
-            g2.reachable_fingerprint(&[r2])
-        );
-
-        // A structural change under the same root ids changes the hash.
-        let mut g3 = TermGraph::new();
-        let x = g3.var("x", 8);
-        let y = g3.var("y", 8);
-        let sum = g3.sub(x, y);
-        let c = g3.const_u64(8, 7);
-        let r3 = g3.eq(sum, c);
-        assert_ne!(
-            g1.reachable_fingerprint(&[r1]),
-            g3.reachable_fingerprint(&[r3])
-        );
-
-        // Empty roots hash consistently.
-        assert_eq!(g1.reachable_fingerprint(&[]), g3.reachable_fingerprint(&[]));
     }
 
     #[test]
