@@ -24,7 +24,8 @@
 //!    because the AR_CFG restricts attention to reset-governed logic.
 //!    Each sweep position starts from the same base schedule, so a
 //!    domain's positions run on the worker pool and are merged back in
-//!    round order.
+//!    round order. No flip is planned from a sweep round, so it drives
+//!    its inputs concretely and builds no symbolic shadow.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::time::{Duration, Instant};
@@ -37,7 +38,7 @@ use soccar_rtl::value::LogicVec;
 use soccar_sim::{InitPolicy, SimResult, Simulator};
 use soccar_smt::{CheckResult, SolveBudget, Solver, Term, TermGraph, TermId};
 
-use crate::coalg::{from_bv, BranchObservation, CoAlgebra};
+use crate::coalg::{from_bv, BranchObservation, CoAlgebra, CoValue};
 use crate::property::{PropertyMonitor, SecurityProperty, Violation};
 use crate::schedule::TestSchedule;
 
@@ -275,6 +276,34 @@ struct RoundRun<'d> {
     reasons: Vec<String>,
 }
 
+/// How much of the symbolic shadow a round builds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RoundKind {
+    /// A reset-sweep round. Nothing plans flips from it, so inputs are
+    /// driven concretely: no term is built and no per-cycle variable
+    /// wakes level-sensitive processes. Coverage, process runs and the
+    /// concrete monitors see the same values as a symbolic round.
+    Sweep,
+    /// A phase-1 round: reset and data inputs are fresh per-cycle
+    /// variables, so branch observations can be flipped.
+    Analysis,
+    /// The [`ConcolicEngine::flip_workload`] round: an analysis round
+    /// that also records the security-check obligations (when
+    /// `max_window_checks > 0`).
+    FlipWorkload,
+}
+
+impl RoundKind {
+    /// The value to drive onto an input: a variable named `name()` with
+    /// concrete interpretation `value`, or just `value` on a sweep round.
+    fn input(self, alg: &mut CoAlgebra, name: impl FnOnce() -> String, value: LogicVec) -> CoValue {
+        match self {
+            RoundKind::Sweep => CoValue::concrete(value),
+            RoundKind::Analysis | RoundKind::FlipWorkload => alg.symbolic_input(&name(), value),
+        }
+    }
+}
+
 /// What a sweep round hands back across the worker pool: only what the
 /// serial merge folds into the run.
 struct SweptRound {
@@ -336,6 +365,9 @@ pub struct ConcolicEngine<'d> {
     flips_failed: usize,
     degraded_rounds: usize,
     degraded_reasons: BTreeSet<String>,
+    /// Rounds (phase 1 and sweep) that covered no new target, counted in
+    /// serial merge order so the count is job-count invariant.
+    stale_rounds: usize,
     recorder: soccar_obs::Recorder,
     domain_polarity: Vec<(String, bool)>,
     /// Domains owning at least one clock-composed implicit governor
@@ -494,6 +526,7 @@ impl<'d> ConcolicEngine<'d> {
             flips_failed: 0,
             degraded_rounds: 0,
             degraded_reasons: BTreeSet::new(),
+            stale_rounds: 0,
             recorder: soccar_obs::Recorder::disabled(),
             domain_polarity,
             clock_composed,
@@ -504,7 +537,8 @@ impl<'d> ConcolicEngine<'d> {
     /// `concolic.round` span (sweep phases get per-domain `concolic.sweep`
     /// / `concolic.sweep_high` spans), flip planning feeds the
     /// `concolic.flip_candidates` / `concolic.flip_consumed` /
-    /// `concolic.flip_discarded` / `concolic.flip_sat` counters, and every
+    /// `concolic.flip_discarded` / `concolic.flip_sat` counters, rounds
+    /// that cover no new target feed `concolic.stale_rounds`, and every
     /// flip solve — including the speculative ones — reports through
     /// [`Solver::check_traced`].
     ///
@@ -552,11 +586,9 @@ impl<'d> ConcolicEngine<'d> {
                 sim,
                 violations,
                 reasons,
-            } = self.run_round(&schedule, false)?;
+            } = self.run_round(&schedule, RoundKind::Analysis)?;
             self.degraded_reasons.extend(reasons);
-            for i in self.target_hits(&sim) {
-                self.covered[i] = true;
-            }
+            self.cover(self.target_hits(&sim));
             findings.merge(rounds, &schedule, violations);
             round_span.record("covered", self.covered.iter().filter(|c| **c).count());
             round_span.record("violations", findings.violations.len());
@@ -614,6 +646,8 @@ impl<'d> ConcolicEngine<'d> {
         let covered = self.covered.iter().filter(|c| **c).count();
         let unreachable = self.unreachable.iter().filter(|u| **u).count();
         self.recorder.counter_add("concolic.rounds", rounds as u64);
+        self.recorder
+            .counter_add("concolic.stale_rounds", self.stale_rounds as u64);
         // Resilience counters are only bumped when degradation actually
         // happened, keeping healthy-run traces byte-identical to before.
         if self.solver_unknown > 0 {
@@ -702,7 +736,7 @@ impl<'d> ConcolicEngine<'d> {
         let mut sweep_span =
             soccar_obs::span!(self.recorder, span, domain = self.domains[di].0.as_str());
         let (results, stats) = soccar_exec::parallel_map_stats(self.config.jobs, schedules, |s| {
-            self.run_round(s, false).map(|run| SweptRound {
+            self.run_round(s, RoundKind::Sweep).map(|run| SweptRound {
                 hits: self.target_hits(&run.sim),
                 violations: run.violations,
                 reasons: run.reasons,
@@ -713,9 +747,7 @@ impl<'d> ConcolicEngine<'d> {
             let swept = result?;
             *rounds += 1;
             self.degraded_reasons.extend(swept.reasons);
-            for i in swept.hits {
-                self.covered[i] = true;
-            }
+            self.cover(swept.hits);
             findings.merge(*rounds, schedule, swept.violations);
         }
         sweep_span.record("rounds", schedules.len());
@@ -727,10 +759,9 @@ impl<'d> ConcolicEngine<'d> {
     /// Monitors that fail to resolve (or error mid-check) come back as
     /// degraded reasons instead of being silently ignored or panicking:
     /// the analysis continues, visibly partial. Takes `&self` so sweep
-    /// rounds can run side by side on the worker pool. `record_checks`
-    /// logs the symbolic security-check obligations that only
-    /// [`ConcolicEngine::flip_workload`] reads; analysis rounds skip them.
-    fn run_round(&self, schedule: &TestSchedule, record_checks: bool) -> SimResult<RoundRun<'d>> {
+    /// rounds can run side by side on the worker pool. `kind` sets how
+    /// much of the symbolic shadow the round builds (see [`RoundKind`]).
+    fn run_round(&self, schedule: &TestSchedule, kind: RoundKind) -> SimResult<RoundRun<'d>> {
         let mut sim = Simulator::with_algebra(self.design, CoAlgebra::new(), self.config.init);
         let mut reasons = Vec::new();
         let mut monitors: Vec<PropertyMonitor> = Vec::new();
@@ -758,8 +789,9 @@ impl<'d> ConcolicEngine<'d> {
 
         for cycle in 0..schedule.cycles {
             for (i, track) in schedule.inputs.iter().enumerate() {
-                let v = sim.algebra_mut().symbolic_input(
-                    &format!("in_{i}_{cycle}"),
+                let v = kind.input(
+                    sim.algebra_mut(),
+                    || format!("in_{i}_{cycle}"),
                     track.values[cycle as usize].clone(),
                 );
                 sim.write_input_value(track.net, v)?;
@@ -777,9 +809,7 @@ impl<'d> ConcolicEngine<'d> {
                 } else {
                     track.value_at(cycle)
                 };
-                let v = sim
-                    .algebra_mut()
-                    .symbolic_input(&format!("rst_{d}_{cycle}"), value);
+                let v = kind.input(sim.algebra_mut(), || format!("rst_{d}_{cycle}"), value);
                 sim.write_input_value(track.net, v)?;
             }
             sim.settle()?;
@@ -796,9 +826,11 @@ impl<'d> ConcolicEngine<'d> {
                     .copied()
                     .unwrap_or(false)
                 {
-                    let v = sim
-                        .algebra_mut()
-                        .symbolic_input(&format!("rsthi_{d}_{cycle}"), track.value_at(cycle));
+                    let v = kind.input(
+                        sim.algebra_mut(),
+                        || format!("rsthi_{d}_{cycle}"),
+                        track.value_at(cycle),
+                    );
                     sim.write_input_value(track.net, v)?;
                     sim.settle()?;
                 }
@@ -821,7 +853,7 @@ impl<'d> ConcolicEngine<'d> {
             // can pre-blast it (blast-only, never assumed — see
             // `ConcolicConfig::max_window_checks`). Serial and in monitor
             // order, so the observation log stays deterministic.
-            if record_checks {
+            if kind == RoundKind::FlipWorkload && self.config.max_window_checks > 0 {
                 for mon in &monitors {
                     if let Some(t) = mon.symbolic_obligation(&mut sim) {
                         sim.algebra_mut().record_check(t);
@@ -852,6 +884,20 @@ impl<'d> ConcolicEngine<'d> {
             })
             .map(|(i, _)| i)
             .collect()
+    }
+
+    /// Marks a round's hit targets covered, counting the round stale when
+    /// none of them is new. Sweep hits are taken before their domain's
+    /// merge, so some may already be covered by an earlier round of it.
+    fn cover(&mut self, hits: Vec<usize>) {
+        let mut fresh = false;
+        for i in hits {
+            fresh |= !self.covered[i];
+            self.covered[i] = true;
+        }
+        if !fresh {
+            self.stale_rounds += 1;
+        }
     }
 
     fn all_covered(&self) -> bool {
@@ -1107,9 +1153,7 @@ impl<'d> ConcolicEngine<'d> {
     pub fn flip_workload(&mut self) -> SimResult<FlipWorkload> {
         let mut schedule = self.base_schedule();
         schedule.randomize(self.config.seed);
-        let mut sim = self
-            .run_round(&schedule, self.config.max_window_checks > 0)?
-            .sim;
+        let mut sim = self.run_round(&schedule, RoundKind::FlipWorkload)?.sim;
         let observations = sim.algebra().observations().to_vec();
         let neg: Vec<TermId> = {
             let g = &mut sim.algebra_mut().graph;
@@ -1827,7 +1871,7 @@ mod tests {
             s.add_pulse(0, at, 1);
         });
         for s in &schedules[..2] {
-            let run = probe.run_round(s, false).expect("round");
+            let run = probe.run_round(s, RoundKind::Sweep).expect("round");
             assert!(
                 run.violations
                     .iter()
@@ -1843,6 +1887,104 @@ mod tests {
             assert_eq!(report.witnesses[0].round, 1, "jobs={jobs}");
             assert_eq!(report.witnesses[0].schedule, schedules[0], "jobs={jobs}");
             assert_eq!(report.sweep_exec.tasks, schedules.len(), "jobs={jobs}");
+        }
+    }
+
+    #[test]
+    fn concrete_sweep_rounds_match_symbolic_rounds() {
+        // Sweep rounds drive their inputs concretely. Everything the sweep
+        // merge reads must come out as it would from a symbolic round,
+        // while the shadow builds no term at all.
+        let fixtures = [
+            (MAGIC_BRANCH, magic_config(), vec![]),
+            (
+                LEAKY_CRYPTO,
+                ConcolicConfig {
+                    cycles: 10,
+                    symbolic_inputs: vec!["top.load".into(), "top.key_in".into()],
+                    ..ConcolicConfig::default()
+                },
+                vec![leak_property()],
+            ),
+        ];
+        for (src, config, props) in fixtures {
+            let unit = parse(FileId(0), src).expect("parse");
+            let design = soccar_rtl::elaborate::elaborate(&unit, "top").expect("elaborate");
+            let soc = compose_soc(
+                &unit,
+                "top",
+                &ResetNaming::new(),
+                GovernorAnalysis::Explicit,
+            )
+            .expect("compose");
+            let bound = bind_events(&design, &soc).expect("bind");
+            let engine = ConcolicEngine::new(&design, &bound, props, config).expect("engine");
+            let schedules = engine.sweep_schedules(|s, at| {
+                s.randomize(engine.config.seed.wrapping_add(at));
+                s.power_on_only();
+                s.add_pulse(0, at, 1);
+            });
+            for s in &schedules {
+                let concrete = engine.run_round(s, RoundKind::Sweep).expect("sweep round");
+                let symbolic = engine
+                    .run_round(s, RoundKind::Analysis)
+                    .expect("analysis round");
+                assert!(
+                    !symbolic.sim.algebra().graph.is_empty(),
+                    "fixture is symbolic"
+                );
+                assert!(concrete.sim.algebra().graph.is_empty());
+                assert!(concrete.sim.algebra().observations().is_empty());
+                assert_eq!(
+                    engine.target_hits(&concrete.sim),
+                    engine.target_hits(&symbolic.sim)
+                );
+                assert_eq!(
+                    concrete.sim.algebra().coverage(),
+                    symbolic.sim.algebra().coverage()
+                );
+                assert_eq!(concrete.violations, symbolic.violations);
+                assert_eq!(concrete.reasons, symbolic.reasons);
+            }
+        }
+    }
+
+    #[test]
+    fn stale_rounds_are_counted_in_merge_order() {
+        // Rounds that cover nothing new are counted in the serial merge
+        // order, so the trace-only counter is the same at every job count.
+        let unit = parse(FileId(0), LEAKY_CRYPTO).expect("parse");
+        let design = soccar_rtl::elaborate::elaborate(&unit, "top").expect("elaborate");
+        let soc = compose_soc(
+            &unit,
+            "top",
+            &ResetNaming::new(),
+            GovernorAnalysis::Explicit,
+        )
+        .expect("compose");
+        let bound = bind_events(&design, &soc).expect("bind");
+        let run = |jobs: usize| {
+            let recorder = soccar_obs::Recorder::enabled();
+            let config = ConcolicConfig {
+                cycles: 8,
+                max_rounds: 4,
+                jobs,
+                ..ConcolicConfig::default()
+            };
+            let report = ConcolicEngine::new(&design, &bound, vec![leak_property()], config)
+                .expect("engine")
+                .with_recorder(recorder.clone())
+                .run()
+                .expect("run");
+            let stale = recorder.snapshot().counters["concolic.stale_rounds"];
+            (report, stale)
+        };
+        let (report, stale) = run(1);
+        let fresh = report.rounds as u64 - stale;
+        assert!(stale > 0, "sweep positions repeat coverage");
+        assert!((1..=report.targets_covered as u64).contains(&fresh));
+        for jobs in [2, 4] {
+            assert_eq!(run(jobs).1, stale, "jobs={jobs}");
         }
     }
 

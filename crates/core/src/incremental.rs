@@ -8,7 +8,7 @@
 //! | tier | key | holds | invalidated by |
 //! |------|-----|-------|----------------|
 //! | report | raw source + request | full [`AnalysisReport`] | any byte change |
-//! | parse | raw chunk hash | per-module AST (0-based spans) | editing that module's text |
+//! | parse | raw chunk hash | per-module AST (0-based spans); at most `CacheCaps::design` versions per module name | editing that module's text |
 //! | extract | structural module hash | per-module `ArCfg` | semantic edit to that module |
 //! | design | ordered structural hashes + top | elaborated design, composed `SocArCfg`, bound events | semantic edit anywhere |
 //! | concolic | design key + properties + config | [`ConcolicReport`] | semantic edit / request change |
@@ -127,7 +127,8 @@ pub struct SessionCounters {
 /// Capacity limits for the cache tiers (entries, not bytes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheCaps {
-    /// Parse tier: per-module ASTs.
+    /// Parse tier: per-module ASTs. Each module name also keeps at most
+    /// `design` versions.
     pub parse: usize,
     /// Extract tier: per-module AR_CFGs.
     pub extract: usize,
@@ -238,11 +239,26 @@ impl<K: Eq + Hash + Clone, V> CostAwareMap<K, V> {
     /// The deterministic eviction victim: cold before recent, cheap
     /// before expensive, oldest insertion as the final tie-break.
     fn victim(&self) -> Option<K> {
+        self.victim_among(self.entries.keys())
+    }
+
+    /// [`CostAwareMap::victim`] restricted to those of `keys` present.
+    fn victim_among<'k>(&self, keys: impl Iterator<Item = &'k K>) -> Option<K>
+    where
+        K: 'k,
+    {
         let horizon = self.clock.saturating_sub(self.cap as u64);
-        self.entries
-            .iter()
+        keys.filter_map(|key| self.entries.get_key_value(key))
             .min_by_key(|(_, slot)| (slot.last_use > horizon, slot.cost, slot.seq))
             .map(|(key, _)| key.clone())
+    }
+
+    fn contains(&self, key: &K) -> bool {
+        self.entries.contains_key(key)
+    }
+
+    fn remove(&mut self, key: &K) {
+        self.entries.remove(key);
     }
 
     fn len(&self) -> usize {
@@ -302,6 +318,9 @@ pub struct AnalysisSession {
     recorder: soccar_obs::Recorder,
     caps: CacheCaps,
     parse_cache: CostAwareMap<u64, Module>,
+    /// Parse-tier keys by module name: the versions of each module the
+    /// tier holds (see [`AnalysisSession::admit_parsed`]).
+    parse_versions: HashMap<String, Vec<u64>>,
     extract_cache: CostAwareMap<(u64, u64), ArCfg>,
     design_cache: CostAwareMap<DesignKey, Arc<DesignEntry>>,
     concolic_cache: CostAwareMap<u64, ConcolicEntry>,
@@ -324,6 +343,7 @@ impl AnalysisSession {
             recorder: soccar_obs::Recorder::disabled(),
             caps,
             parse_cache: CostAwareMap::new(caps.parse),
+            parse_versions: HashMap::new(),
             extract_cache: CostAwareMap::new(caps.extract),
             design_cache: CostAwareMap::new(caps.design),
             concolic_cache: CostAwareMap::new(caps.concolic),
@@ -371,6 +391,29 @@ impl AnalysisSession {
             self.concolic_cache.len(),
             self.report_cache.len(),
         )
+    }
+
+    /// Inserts a freshly parsed module into the parse tier, returning how
+    /// many entries were evicted. One module name keeps at most
+    /// `caps.design` versions, one per design the design tier can hold:
+    /// a stream of edits to one module replaces its stale versions
+    /// (each an AST about ten times its source text) instead of piling
+    /// them up until the tier's own cap.
+    fn admit_parsed(&mut self, raw_fp: u64, module: Module, cost: u64) -> u64 {
+        let cache = &mut self.parse_cache;
+        let versions = self.parse_versions.entry(module.name.clone()).or_default();
+        versions.retain(|fp| cache.contains(fp));
+        let mut evicted = 0;
+        while versions.len() >= self.caps.design.max(1) {
+            let Some(victim) = cache.victim_among(versions.iter()) else {
+                break;
+            };
+            cache.remove(&victim);
+            versions.retain(|fp| *fp != victim);
+            evicted += 1;
+        }
+        versions.push(raw_fp);
+        evicted + cache.insert(raw_fp, module, cost)
     }
 
     /// Runs one analysis request against the session caches.
@@ -482,9 +525,7 @@ impl AnalysisSession {
                 {
                     if let [m] = parsed.modules.as_slice() {
                         // Re-parse cost scales with the chunk's size.
-                        evictions +=
-                            self.parse_cache
-                                .insert(raw_fp, m.clone(), chunk.text.len() as u64);
+                        evictions += self.admit_parsed(raw_fp, m.clone(), chunk.text.len() as u64);
                     }
                 }
             }
@@ -1072,5 +1113,33 @@ endmodule
         assert!(session.counters().evictions >= 2);
         let (_, _, _, _, reports) = session.tier_sizes();
         assert_eq!(reports, 1);
+    }
+
+    #[test]
+    fn parse_tier_keeps_one_module_version_per_cached_design() {
+        // Edits to one module replace its stale parse-tier versions: the
+        // tier holds at most `caps.design` of them, each edit re-parses
+        // only the edited module, and reports still match batch.
+        let caps = CacheCaps {
+            design: 2,
+            ..CacheCaps::default()
+        };
+        let config = SoccarConfig::default();
+        let mut session = AnalysisSession::with_caps(config.clone(), caps);
+        let qos = RequestQos::default();
+        for (i, value) in [0x11u8, 0x22, 0x33, 0x44].into_iter().enumerate() {
+            let src = leaky(value, "");
+            let (report, stats) = session
+                .analyze("t.v", &src, "top", vec![key_property()], &qos)
+                .expect("analyze");
+            assert_eq!(stats.modules_reparsed, if i == 0 { 2 } else { 1 });
+            assert_eq!(
+                report.canonical_json().expect("json"),
+                batch_canonical(&src, &config)
+            );
+        }
+        let (parse, ..) = session.tier_sizes();
+        assert_eq!(parse, 1 + 2, "`top` plus two versions of `ip`");
+        assert!(session.counters().evictions >= 2);
     }
 }

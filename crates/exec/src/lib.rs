@@ -249,11 +249,12 @@ where
     let mut busy = Duration::ZERO;
 
     std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
             let tx = tx.clone();
             let next = &next;
             let f = &f;
-            scope.spawn(move || loop {
+            handles.push(scope.spawn(move || loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= items.len() {
                     break;
@@ -263,12 +264,21 @@ where
                 // A send can only fail if the receiver is gone, which
                 // cannot happen while the scope borrows it.
                 let _ = tx.send((i, result, t.elapsed()));
-            });
+            }));
         }
         drop(tx);
         for (i, result, took) in &rx {
             busy += took;
             slots[i] = Some(result);
+        }
+        // Join explicitly: the scope's implicit wait returns once the
+        // closures finish, while the threads may still be exiting and
+        // holding their allocator arenas. Joining lets the next call's
+        // workers reuse those arenas instead of creating new ones, each
+        // of which would keep its own high-water mark resident. Tasks
+        // catch their own panics, so a join never fails.
+        for h in handles {
+            let _ = h.join();
         }
     });
 

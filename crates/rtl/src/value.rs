@@ -112,17 +112,52 @@ impl fmt::Display for Bit {
 /// expression semantics used by the synthesizable subset in this
 /// reproduction, and produce a result whose width is the maximum operand
 /// width (relational and reduction operators produce one bit).
-#[derive(Clone, PartialEq, Eq, Hash)]
+///
+/// Vectors up to 64 bits wide keep both planes inline, so creating,
+/// cloning and combining them never allocates; wider vectors box their
+/// words. Equality and hashing see only the width and the bits.
+#[derive(Clone)]
 pub struct LogicVec {
     width: u32,
-    /// Value plane, little-endian 64-bit words. Bits above `width` are zero.
-    val: Vec<u64>,
-    /// XZ plane, same layout.
-    xz: Vec<u64>,
+    planes: Planes,
+}
+
+/// Bit-plane storage: little-endian 64-bit words, bits above `width` zero.
+/// `Inline` exactly when `width <= 64`.
+#[derive(Clone)]
+enum Planes {
+    /// The value word and the XZ word of a vector of at most 64 bits.
+    Inline { val: u64, xz: u64 },
+    /// `n` value words followed by `n` XZ words.
+    Heap(Box<[u64]>),
 }
 
 fn words_for(width: u32) -> usize {
     (width as usize).div_ceil(64)
+}
+
+/// Mask of the valid bits in the top word of a `width`-bit vector.
+fn top_mask(width: u32) -> u64 {
+    match width % 64 {
+        0 => u64::MAX,
+        rem => (1u64 << rem) - 1,
+    }
+}
+
+impl PartialEq for LogicVec {
+    fn eq(&self, other: &LogicVec) -> bool {
+        self.width == other.width && self.val() == other.val() && self.xz() == other.xz()
+    }
+}
+
+impl Eq for LogicVec {}
+
+impl std::hash::Hash for LogicVec {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.width.hash(state);
+        self.val().hash(state);
+        self.xz().hash(state);
+    }
 }
 
 impl LogicVec {
@@ -134,10 +169,113 @@ impl LogicVec {
     #[must_use]
     pub fn zeros(width: u32) -> LogicVec {
         assert!(width > 0, "LogicVec width must be non-zero");
-        LogicVec {
-            width,
-            val: vec![0; words_for(width)],
-            xz: vec![0; words_for(width)],
+        let planes = if width <= 64 {
+            Planes::Inline { val: 0, xz: 0 }
+        } else {
+            Planes::Heap(vec![0; 2 * words_for(width)].into_boxed_slice())
+        };
+        LogicVec { width, planes }
+    }
+
+    /// Builds a `width`-bit vector word by word: `f(i)` yields the value
+    /// and XZ words `i`, in increasing `i`. Bits above `width` are masked.
+    fn from_words(width: u32, mut f: impl FnMut(usize) -> (u64, u64)) -> LogicVec {
+        let mut out = LogicVec::zeros(width);
+        let mask = top_mask(width);
+        match &mut out.planes {
+            Planes::Inline { val, xz } => {
+                let (v, x) = f(0);
+                (*val, *xz) = (v & mask, x & mask);
+            }
+            Planes::Heap(w) => {
+                let n = w.len() / 2;
+                for i in 0..n {
+                    (w[i], w[n + i]) = f(i);
+                }
+                w[n - 1] &= mask;
+                w[2 * n - 1] &= mask;
+            }
+        }
+        out
+    }
+
+    fn val(&self) -> &[u64] {
+        match &self.planes {
+            Planes::Inline { val, .. } => std::slice::from_ref(val),
+            Planes::Heap(w) => &w[..w.len() / 2],
+        }
+    }
+
+    fn xz(&self) -> &[u64] {
+        match &self.planes {
+            Planes::Inline { xz, .. } => std::slice::from_ref(xz),
+            Planes::Heap(w) => &w[w.len() / 2..],
+        }
+    }
+
+    fn planes_mut(&mut self) -> (&mut [u64], &mut [u64]) {
+        match &mut self.planes {
+            Planes::Inline { val, xz } => (std::slice::from_mut(val), std::slice::from_mut(xz)),
+            Planes::Heap(w) => {
+                let n = w.len() / 2;
+                w.split_at_mut(n)
+            }
+        }
+    }
+
+    /// Value and XZ words `i`; words past the top read as zero (zero
+    /// extension).
+    fn word(&self, i: usize) -> (u64, u64) {
+        match &self.planes {
+            Planes::Inline { val, xz } => {
+                if i == 0 {
+                    (*val, *xz)
+                } else {
+                    (0, 0)
+                }
+            }
+            Planes::Heap(w) => {
+                let n = w.len() / 2;
+                if i < n {
+                    (w[i], w[n + i])
+                } else {
+                    (0, 0)
+                }
+            }
+        }
+    }
+
+    /// The 64 value and XZ bits starting at bit `lo`, zero past the top.
+    fn bits_at(&self, lo: u64) -> (u64, u64) {
+        let w = usize::try_from(lo / 64).unwrap_or(usize::MAX);
+        let b = lo % 64;
+        let (v0, x0) = self.word(w);
+        if b == 0 {
+            return (v0, x0);
+        }
+        let (v1, x1) = self.word(w.saturating_add(1));
+        ((v0 >> b) | (v1 << (64 - b)), (x0 >> b) | (x1 << (64 - b)))
+    }
+
+    /// ORs `src`'s planes into `self` starting at bit `at`; bits landing
+    /// above the top word are dropped (callers re-mask the top word).
+    fn or_shifted(&mut self, src: &LogicVec, at: u32) {
+        let (val, xz) = self.planes_mut();
+        let n = val.len();
+        let w0 = (at / 64) as usize;
+        let b = at % 64;
+        for i in 0..words_for(src.width) {
+            let (sv, sx) = src.word(i);
+            let j = w0 + i;
+            if j >= n {
+                break;
+            }
+            val[j] |= sv << b;
+            xz[j] |= sx << b;
+            if b != 0 && j + 1 < n {
+                val[j + 1] |= sv >> (64 - b);
+                xz[j + 1] |= sx >> (64 - b);
+            }
         }
     }
 
@@ -147,41 +285,26 @@ impl LogicVec {
     /// ("we assign all the registers with ones instead of zeros").
     #[must_use]
     pub fn ones(width: u32) -> LogicVec {
-        let mut v = LogicVec::zeros(width);
-        for w in &mut v.val {
-            *w = u64::MAX;
-        }
-        v.mask_top();
-        v
+        LogicVec::from_words(width, |_| (u64::MAX, 0))
     }
 
     /// Creates an all-`X` vector of the given width.
     #[must_use]
     pub fn xes(width: u32) -> LogicVec {
-        let mut v = LogicVec::zeros(width);
-        for w in &mut v.xz {
-            *w = u64::MAX;
-        }
-        v.mask_top();
-        v
+        LogicVec::from_words(width, |_| (0, u64::MAX))
     }
 
     /// Creates an all-`Z` vector of the given width.
     #[must_use]
     pub fn zeds(width: u32) -> LogicVec {
-        let mut v = LogicVec::xes(width);
-        v.val.clone_from(&v.xz);
-        v
+        LogicVec::from_words(width, |_| (u64::MAX, u64::MAX))
     }
 
     /// Creates a vector from the low bits of `value`, zero-extended or
     /// truncated to `width`.
     #[must_use]
     pub fn from_u64(width: u32, value: u64) -> LogicVec {
-        let mut v = LogicVec::zeros(width);
-        v.val[0] = value;
-        v.mask_top();
-        v
+        LogicVec::from_words(width, |i| (if i == 0 { value } else { 0 }, 0))
     }
 
     /// Creates a one-bit vector from a `bool`.
@@ -242,9 +365,9 @@ impl LogicVec {
     #[must_use]
     pub fn bit(&self, index: u32) -> Bit {
         assert!(index < self.width, "bit index {index} out of range");
-        let w = (index / 64) as usize;
+        let (val, xz) = self.word((index / 64) as usize);
         let b = index % 64;
-        Bit::from_planes((self.xz[w] >> b) & 1 == 1, (self.val[w] >> b) & 1 == 1)
+        Bit::from_planes((xz >> b) & 1 == 1, (val >> b) & 1 == 1)
     }
 
     /// Sets the bit at `index` (0 = LSB).
@@ -256,9 +379,10 @@ impl LogicVec {
         assert!(index < self.width, "bit index {index} out of range");
         let w = (index / 64) as usize;
         let b = index % 64;
-        let (xz, val) = bit.planes();
-        self.val[w] = (self.val[w] & !(1 << b)) | (u64::from(val) << b);
-        self.xz[w] = (self.xz[w] & !(1 << b)) | (u64::from(xz) << b);
+        let (xz_bit, val_bit) = bit.planes();
+        let (val, xz) = self.planes_mut();
+        val[w] = (val[w] & !(1 << b)) | (u64::from(val_bit) << b);
+        xz[w] = (xz[w] & !(1 << b)) | (u64::from(xz_bit) << b);
     }
 
     /// Iterates over the bits, LSB first.
@@ -269,25 +393,34 @@ impl LogicVec {
     /// `true` if any bit is `X` or `Z`.
     #[must_use]
     pub fn has_unknown(&self) -> bool {
-        self.xz.iter().any(|w| *w != 0)
+        self.xz().iter().any(|w| *w != 0)
+    }
+
+    /// `true` if every bit of `plane` is set and every bit of the other
+    /// plane is clear.
+    fn is_filled(&self, plane: &[u64], other: &[u64]) -> bool {
+        let (top, low) = plane.split_last().expect("non-empty planes");
+        other.iter().all(|w| *w == 0)
+            && low.iter().all(|w| *w == u64::MAX)
+            && *top == top_mask(self.width)
     }
 
     /// `true` if every bit is `X`.
     #[must_use]
     pub fn is_all_x(&self) -> bool {
-        self.iter_bits().all(|b| b == Bit::X)
+        self.is_filled(self.xz(), self.val())
     }
 
     /// `true` if every bit is `0` (no unknowns).
     #[must_use]
     pub fn is_all_zero(&self) -> bool {
-        !self.has_unknown() && self.val.iter().all(|w| *w == 0)
+        !self.has_unknown() && self.val().iter().all(|w| *w == 0)
     }
 
     /// `true` if every bit is `1` (no unknowns).
     #[must_use]
     pub fn is_all_ones(&self) -> bool {
-        !self.has_unknown() && self.iter_bits().all(|b| b == Bit::One)
+        self.is_filled(self.val(), self.xz())
     }
 
     /// Converts to `u64` if the value fits in 64 bits and has no unknowns.
@@ -296,10 +429,11 @@ impl LogicVec {
         if self.has_unknown() {
             return None;
         }
-        if self.val.iter().skip(1).any(|w| *w != 0) {
+        let (low, high) = self.val().split_first().expect("non-empty planes");
+        if high.iter().any(|w| *w != 0) {
             return None;
         }
-        Some(self.val[0])
+        Some(*low)
     }
 
     /// Verilog truthiness: `Some(true)` if any bit is `1`, `Some(false)` if
@@ -307,7 +441,7 @@ impl LogicVec {
     #[must_use]
     pub fn truthy(&self) -> Option<bool> {
         // A '1' bit anywhere makes the value true regardless of unknowns.
-        for (v, x) in self.val.iter().zip(&self.xz) {
+        for (v, x) in self.val().iter().zip(self.xz()) {
             if *v & !*x != 0 {
                 return Some(true);
             }
@@ -322,12 +456,7 @@ impl LogicVec {
     /// Zero-extends or truncates to `width`.
     #[must_use]
     pub fn resize(&self, width: u32) -> LogicVec {
-        let mut out = LogicVec::zeros(width);
-        let n = out.val.len().min(self.val.len());
-        out.val[..n].copy_from_slice(&self.val[..n]);
-        out.xz[..n].copy_from_slice(&self.xz[..n]);
-        out.mask_top();
-        out
+        LogicVec::from_words(width, |i| self.word(i))
     }
 
     /// Sign-extends or truncates to `width` (MSB of `self` is the sign).
@@ -345,123 +474,115 @@ impl LogicVec {
     }
 
     fn mask_top(&mut self) {
-        let rem = self.width % 64;
-        if rem != 0 {
-            let mask = (1u64 << rem) - 1;
-            if let Some(w) = self.val.last_mut() {
-                *w &= mask;
-            }
-            if let Some(w) = self.xz.last_mut() {
-                *w &= mask;
-            }
+        let mask = top_mask(self.width);
+        let (val, xz) = self.planes_mut();
+        if let Some(w) = val.last_mut() {
+            *w &= mask;
         }
-    }
-
-    fn extended_planes(&self, width: u32) -> (Vec<u64>, Vec<u64>) {
-        let n = words_for(width);
-        let mut val = self.val.clone();
-        let mut xz = self.xz.clone();
-        val.resize(n, 0);
-        xz.resize(n, 0);
-        (val, xz)
+        if let Some(w) = xz.last_mut() {
+            *w &= mask;
+        }
     }
 
     /// Bitwise NOT. `X`/`Z` bits stay `X`.
     #[must_use]
     pub fn not(&self) -> LogicVec {
-        let mut out = LogicVec::zeros(self.width);
-        for i in 0..out.val.len() {
-            out.val[i] = !self.val[i] & !self.xz[i];
-            out.xz[i] = self.xz[i];
-        }
         // X/Z both become X: val plane cleared where xz set.
-        out.mask_top();
-        out
+        LogicVec::from_words(self.width, |i| {
+            let (v, x) = self.word(i);
+            (!v & !x, x)
+        })
     }
 
     /// Bitwise AND with IEEE 1364 three-valued semantics.
     #[must_use]
     pub fn and(&self, other: &LogicVec) -> LogicVec {
-        self.bitwise(other, |a, b| match (a, b) {
-            (Bit::Zero, _) | (_, Bit::Zero) => Bit::Zero,
-            (Bit::One, Bit::One) => Bit::One,
-            _ => Bit::X,
+        // A known 0 on either side dominates; otherwise unknowns give X.
+        self.bitwise(other, |(av, ax), (bv, bx)| {
+            let one = av & !ax & bv & !bx;
+            let zero = (!av & !ax) | (!bv & !bx);
+            (one, !(one | zero))
         })
     }
 
     /// Bitwise OR with IEEE 1364 three-valued semantics.
     #[must_use]
     pub fn or(&self, other: &LogicVec) -> LogicVec {
-        self.bitwise(other, |a, b| match (a, b) {
-            (Bit::One, _) | (_, Bit::One) => Bit::One,
-            (Bit::Zero, Bit::Zero) => Bit::Zero,
-            _ => Bit::X,
+        // A known 1 on either side dominates; otherwise unknowns give X.
+        self.bitwise(other, |(av, ax), (bv, bx)| {
+            let one = (av & !ax) | (bv & !bx);
+            let zero = !av & !ax & !bv & !bx;
+            (one, !(one | zero))
         })
     }
 
     /// Bitwise XOR with IEEE 1364 three-valued semantics.
     #[must_use]
     pub fn xor(&self, other: &LogicVec) -> LogicVec {
-        self.bitwise(other, |a, b| {
-            if a.is_unknown() || b.is_unknown() {
-                Bit::X
-            } else {
-                Bit::from(a != b)
-            }
+        self.bitwise(other, |(av, ax), (bv, bx)| {
+            let unknown = ax | bx;
+            ((av ^ bv) & !unknown, unknown)
         })
     }
 
-    fn bitwise(&self, other: &LogicVec, f: impl Fn(Bit, Bit) -> Bit) -> LogicVec {
+    /// Applies a word-level `(val, xz)` operator to the zero-extended
+    /// operands; the result has the wider operand's width.
+    fn bitwise(
+        &self,
+        other: &LogicVec,
+        f: impl Fn((u64, u64), (u64, u64)) -> (u64, u64),
+    ) -> LogicVec {
         let width = self.width.max(other.width);
-        let a = self.resize(width);
-        let b = other.resize(width);
-        let mut out = LogicVec::zeros(width);
-        for i in 0..width {
-            out.set_bit(i, f(a.bit(i), b.bit(i)));
+        LogicVec::from_words(width, |i| f(self.word(i), other.word(i)))
+    }
+
+    /// Mask of the in-range bits of word `i`.
+    fn word_mask(&self, i: usize) -> u64 {
+        if i + 1 == words_for(self.width) {
+            top_mask(self.width)
+        } else {
+            u64::MAX
         }
-        out
+    }
+
+    /// `true` if any in-range bit is a known `0`.
+    fn has_known_zero(&self) -> bool {
+        self.val()
+            .iter()
+            .zip(self.xz())
+            .enumerate()
+            .any(|(i, (v, x))| !v & !x & self.word_mask(i) != 0)
     }
 
     /// Reduction AND (`&v`): one bit.
     #[must_use]
     pub fn reduce_and(&self) -> LogicVec {
-        let mut acc = Bit::One;
-        for b in self.iter_bits() {
-            acc = match (acc, b) {
-                (Bit::Zero, _) | (_, Bit::Zero) => Bit::Zero,
-                (Bit::One, Bit::One) => Bit::One,
-                _ => Bit::X,
-            };
+        if self.has_known_zero() {
+            LogicVec::from_bool(false)
+        } else if self.has_unknown() {
+            LogicVec::xes(1)
+        } else {
+            LogicVec::from_bool(true)
         }
-        LogicVec::from_bits(&[acc])
     }
 
     /// Reduction OR (`|v`): one bit.
     #[must_use]
     pub fn reduce_or(&self) -> LogicVec {
-        let mut acc = Bit::Zero;
-        for b in self.iter_bits() {
-            acc = match (acc, b) {
-                (Bit::One, _) | (_, Bit::One) => Bit::One,
-                (Bit::Zero, Bit::Zero) => Bit::Zero,
-                _ => Bit::X,
-            };
+        match self.truthy() {
+            Some(b) => LogicVec::from_bool(b),
+            None => LogicVec::xes(1),
         }
-        LogicVec::from_bits(&[acc])
     }
 
     /// Reduction XOR (`^v`): one bit.
     #[must_use]
     pub fn reduce_xor(&self) -> LogicVec {
-        let mut acc = Bit::Zero;
-        for b in self.iter_bits() {
-            acc = if acc.is_unknown() || b.is_unknown() {
-                Bit::X
-            } else {
-                Bit::from(acc != b)
-            };
+        if self.has_unknown() {
+            return LogicVec::xes(1);
         }
-        LogicVec::from_bits(&[acc])
+        let ones: u32 = self.val().iter().map(|w| w.count_ones()).sum();
+        LogicVec::from_bool(ones % 2 == 1)
     }
 
     /// Logical negation (`!v`): one bit.
@@ -509,18 +630,13 @@ impl LogicVec {
         if let Some(p) = self.arith_poisoned(other, width) {
             return p;
         }
-        let (a, _) = self.extended_planes(width);
-        let (b, _) = other.extended_planes(width);
-        let mut out = LogicVec::zeros(width);
-        let mut carry = 0u64;
-        for i in 0..out.val.len() {
-            let (s1, c1) = a[i].overflowing_add(b[i]);
-            let (s2, c2) = s1.overflowing_add(carry);
-            out.val[i] = s2;
-            carry = u64::from(c1) + u64::from(c2);
-        }
-        out.mask_top();
-        out
+        let mut carry = false;
+        LogicVec::from_words(width, |i| {
+            let (s1, c1) = self.word(i).0.overflowing_add(other.word(i).0);
+            let (s2, c2) = s1.overflowing_add(u64::from(carry));
+            carry = c1 || c2;
+            (s2, 0)
+        })
     }
 
     /// Subtraction (`self - other`), two's complement, width = max.
@@ -530,28 +646,19 @@ impl LogicVec {
         if let Some(p) = self.arith_poisoned(other, width) {
             return p;
         }
-        let b = other.resize(width);
-        let neg = b.not2().add(&LogicVec::from_u64(width, 1));
-        self.resize(width).add(&neg)
+        let mut borrow = false;
+        LogicVec::from_words(width, |i| {
+            let (d1, b1) = self.word(i).0.overflowing_sub(other.word(i).0);
+            let (d2, b2) = d1.overflowing_sub(u64::from(borrow));
+            borrow = b1 || b2;
+            (d2, 0)
+        })
     }
 
     /// Two's-complement negation.
     #[must_use]
     pub fn neg(&self) -> LogicVec {
-        if self.has_unknown() {
-            return LogicVec::xes(self.width);
-        }
-        self.not2().add(&LogicVec::from_u64(self.width, 1))
-    }
-
-    /// Two-state bitwise NOT (no unknowns in `self` assumed).
-    fn not2(&self) -> LogicVec {
-        let mut out = LogicVec::zeros(self.width);
-        for i in 0..out.val.len() {
-            out.val[i] = !self.val[i];
-        }
-        out.mask_top();
-        out
+        LogicVec::zeros(self.width).sub(self)
     }
 
     /// Multiplication, result width = max operand width (truncated).
@@ -561,22 +668,22 @@ impl LogicVec {
         if let Some(p) = self.arith_poisoned(other, width) {
             return p;
         }
-        let (a, _) = self.extended_planes(width);
-        let (b, _) = other.extended_planes(width);
+        if width <= 64 {
+            return LogicVec::from_u64(width, self.word(0).0.wrapping_mul(other.word(0).0));
+        }
         let n = words_for(width);
         let mut acc = vec![0u64; n];
         for i in 0..n {
+            let a = self.word(i).0;
             let mut carry = 0u128;
             for j in 0..n - i {
-                let cur = u128::from(acc[i + j]) + u128::from(a[i]) * u128::from(b[j]) + carry;
+                let cur =
+                    u128::from(acc[i + j]) + u128::from(a) * u128::from(other.word(j).0) + carry;
                 acc[i + j] = cur as u64;
                 carry = cur >> 64;
             }
         }
-        let mut out = LogicVec::zeros(width);
-        out.val.copy_from_slice(&acc);
-        out.mask_top();
-        out
+        LogicVec::from_words(width, |i| (acc[i], 0))
     }
 
     /// Unsigned division; division by zero yields all-`X` (IEEE 1364).
@@ -588,6 +695,9 @@ impl LogicVec {
         }
         if other.is_all_zero() {
             return LogicVec::xes(width);
+        }
+        if width <= 64 {
+            return LogicVec::from_u64(width, self.word(0).0 / other.word(0).0);
         }
         let (q, _r) = self.resize(width).udivrem(&other.resize(width));
         q
@@ -602,6 +712,9 @@ impl LogicVec {
         }
         if other.is_all_zero() {
             return LogicVec::xes(width);
+        }
+        if width <= 64 {
+            return LogicVec::from_u64(width, self.word(0).0 % other.word(0).0);
         }
         let (_q, r) = self.resize(width).udivrem(&other.resize(width));
         r
@@ -623,32 +736,29 @@ impl LogicVec {
         (quo, rem)
     }
 
-    /// Unsigned comparison of two-state values of equal width.
+    /// Unsigned comparison of two-state values, zero-extended to the wider
+    /// width.
     ///
     /// # Panics
     ///
-    /// Panics if widths differ or either value has unknowns.
+    /// Panics if either value has unknowns.
     fn ucmp(&self, other: &LogicVec) -> std::cmp::Ordering {
-        assert_eq!(self.width, other.width);
         assert!(!self.has_unknown() && !other.has_unknown());
-        for i in (0..self.val.len()).rev() {
-            match self.val[i].cmp(&other.val[i]) {
-                std::cmp::Ordering::Equal => {}
-                o => return o,
-            }
-        }
-        std::cmp::Ordering::Equal
+        let n = words_for(self.width.max(other.width));
+        (0..n)
+            .rev()
+            .map(|i| self.word(i).0.cmp(&other.word(i).0))
+            .find(|o| o.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
     }
 
     /// Logical shift left by a constant amount; result keeps `self`'s width.
     #[must_use]
     pub fn shl_const(&self, amount: u32) -> LogicVec {
         let mut out = LogicVec::zeros(self.width);
-        if amount >= self.width {
-            return out;
-        }
-        for i in amount..self.width {
-            out.set_bit(i, self.bit(i - amount));
+        if amount < self.width {
+            out.or_shifted(self, amount);
+            out.mask_top();
         }
         out
     }
@@ -656,14 +766,9 @@ impl LogicVec {
     /// Logical shift right by a constant amount; result keeps `self`'s width.
     #[must_use]
     pub fn lshr_const(&self, amount: u32) -> LogicVec {
-        let mut out = LogicVec::zeros(self.width);
-        if amount >= self.width {
-            return out;
-        }
-        for i in 0..self.width - amount {
-            out.set_bit(i, self.bit(i + amount));
-        }
-        out
+        LogicVec::from_words(self.width, |i| {
+            self.bits_at(u64::from(amount) + 64 * i as u64)
+        })
     }
 
     /// Arithmetic shift right by a constant amount (sign bit replicated).
@@ -705,16 +810,19 @@ impl LogicVec {
         }
     }
 
+    /// `true` if every zero-extended word pair satisfies `f`.
+    fn words_match(&self, other: &LogicVec, f: impl Fn((u64, u64), (u64, u64)) -> bool) -> bool {
+        let n = words_for(self.width.max(other.width));
+        (0..n).all(|i| f(self.word(i), other.word(i)))
+    }
+
     /// Logical equality (`==`): one bit, `X` if any input bit is unknown.
     #[must_use]
     pub fn eq_logic(&self, other: &LogicVec) -> LogicVec {
-        let width = self.width.max(other.width);
-        let a = self.resize(width);
-        let b = other.resize(width);
-        if a.has_unknown() || b.has_unknown() {
+        if self.has_unknown() || other.has_unknown() {
             return LogicVec::xes(1);
         }
-        LogicVec::from_bool(a.val == b.val)
+        LogicVec::from_bool(self.words_match(other, |(a, _), (b, _)| a == b))
     }
 
     /// Logical inequality (`!=`).
@@ -726,47 +834,32 @@ impl LogicVec {
     /// Case equality (`===`): compares all four states, always 0 or 1.
     #[must_use]
     pub fn case_eq(&self, other: &LogicVec) -> LogicVec {
-        let width = self.width.max(other.width);
-        let a = self.resize(width);
-        let b = other.resize(width);
-        LogicVec::from_bool(a.val == b.val && a.xz == b.xz)
+        LogicVec::from_bool(self.words_match(other, |a, b| a == b))
     }
 
     /// Unsigned less-than (`<`): one bit, `X` on unknowns.
     #[must_use]
     pub fn ult(&self, other: &LogicVec) -> LogicVec {
-        let width = self.width.max(other.width);
-        let a = self.resize(width);
-        let b = other.resize(width);
-        if a.has_unknown() || b.has_unknown() {
+        if self.has_unknown() || other.has_unknown() {
             return LogicVec::xes(1);
         }
-        LogicVec::from_bool(a.ucmp(&b) == std::cmp::Ordering::Less)
+        LogicVec::from_bool(self.ucmp(other) == std::cmp::Ordering::Less)
     }
 
     /// Unsigned less-or-equal (`<=` as comparison).
     #[must_use]
     pub fn ule(&self, other: &LogicVec) -> LogicVec {
-        let width = self.width.max(other.width);
-        let a = self.resize(width);
-        let b = other.resize(width);
-        if a.has_unknown() || b.has_unknown() {
+        if self.has_unknown() || other.has_unknown() {
             return LogicVec::xes(1);
         }
-        LogicVec::from_bool(a.ucmp(&b) != std::cmp::Ordering::Greater)
+        LogicVec::from_bool(self.ucmp(other) != std::cmp::Ordering::Greater)
     }
 
     /// Concatenation: `self` becomes the *high* part (Verilog `{self, low}`).
     #[must_use]
     pub fn concat(&self, low: &LogicVec) -> LogicVec {
-        let width = self.width + low.width;
-        let mut out = LogicVec::zeros(width);
-        for i in 0..low.width {
-            out.set_bit(i, low.bit(i));
-        }
-        for i in 0..self.width {
-            out.set_bit(low.width + i, self.bit(i));
-        }
+        let mut out = low.resize(self.width + low.width);
+        out.or_shifted(self, low.width);
         out
     }
 
@@ -789,12 +882,9 @@ impl LogicVec {
     /// (out-of-range part-selects yield `X` in Verilog).
     #[must_use]
     pub fn slice(&self, lo: u32, width: u32) -> LogicVec {
-        let mut out = LogicVec::xes(width);
-        for i in 0..width {
-            let src = lo + i;
-            if src < self.width {
-                out.set_bit(i, self.bit(src));
-            }
+        let mut out = LogicVec::from_words(width, |i| self.bits_at(u64::from(lo) + 64 * i as u64));
+        for i in self.width.saturating_sub(lo)..width {
+            out.set_bit(i, Bit::X);
         }
         out
     }
@@ -811,7 +901,11 @@ impl LogicVec {
     /// Counts `1` bits (unknown bits count as zero).
     #[must_use]
     pub fn count_ones(&self) -> u32 {
-        self.iter_bits().filter(|b| *b == Bit::One).count() as u32
+        self.val()
+            .iter()
+            .zip(self.xz())
+            .map(|(v, x)| (v & !x).count_ones())
+            .sum()
     }
 }
 
