@@ -78,7 +78,7 @@ pub struct CheckObservation {
 }
 
 /// The co-simulation algebra: owns the term graph and the branch log.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct CoAlgebra {
     /// The shared term graph (vars minted by the engine live here too).
     pub graph: TermGraph,

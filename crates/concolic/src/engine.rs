@@ -22,12 +22,18 @@
 //!    every domain, exploring the reset-timing space the paper calls
 //!    "prohibitive" for plain dynamic validation — here it is tractable
 //!    because the AR_CFG restricts attention to reset-governed logic.
-//!    Each sweep position starts from the same base schedule, so a
-//!    domain's positions run on the worker pool and are merged back in
-//!    round order. No flip is planned from a sweep round, so it drives
-//!    its inputs concretely and builds no symbolic shadow.
+//!    Each sweep position starts from the same base schedule, so the
+//!    positions run on the worker pool and are merged back in round
+//!    order. At one position every domain's round drives the same
+//!    inputs until its pulse, so those cycles are simulated once and
+//!    forked per domain. No flip is planned from a sweep round, so it
+//!    drives its inputs concretely and builds no symbolic shadow.
+//!
+//! Every round starts from one cached power-on state (time-zero inputs
+//! settled, monitors resolved) instead of building a simulator afresh.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use soccar_cfg::bind::BoundEvent;
@@ -267,11 +273,14 @@ impl ConcolicReport {
     }
 }
 
-/// One simulated round: the simulator it ran on (phase 1 plans the next
-/// schedule from its observations), the violations it saw, and the
-/// degradation reasons it hit.
-struct RoundRun<'d> {
+/// A round in progress, or finished: the simulator it runs on (phase 1
+/// plans the next schedule from its observations), its property
+/// monitors, the violations they saw, and the degradation reasons it
+/// hit. Cloning it forks the round.
+#[derive(Debug, Clone)]
+struct RoundState<'d> {
     sim: Simulator<'d, CoAlgebra>,
+    monitors: Vec<PropertyMonitor>,
     violations: Vec<Violation>,
     reasons: Vec<String>,
 }
@@ -373,6 +382,9 @@ pub struct ConcolicEngine<'d> {
     /// Domains owning at least one clock-composed implicit governor
     /// (Refined analysis only); these also get a high-phase sweep.
     clock_composed: Vec<bool>,
+    /// The state every round starts from, computed on first use (see
+    /// [`ConcolicEngine::power_on`]).
+    power_on: OnceLock<SimResult<RoundState<'d>>>,
 }
 
 impl<'d> ConcolicEngine<'d> {
@@ -381,13 +393,16 @@ impl<'d> ConcolicEngine<'d> {
     /// # Errors
     ///
     /// Returns a message if a configured symbolic input does not exist or
-    /// is not a top-level input.
+    /// is not a top-level input, or if `sweep_stride` is zero.
     pub fn new(
         design: &'d Design,
         events: &[BoundEvent],
         properties: Vec<SecurityProperty>,
         config: ConcolicConfig,
     ) -> Result<ConcolicEngine<'d>, String> {
+        if config.sweep_stride == 0 {
+            return Err("sweep stride must be at least 1".into());
+        }
         // Clocks & leftover inputs, by name.
         let naming = soccar_cfg::ResetNaming::new();
         let mut clocks = Vec::new();
@@ -530,12 +545,14 @@ impl<'d> ConcolicEngine<'d> {
             recorder: soccar_obs::Recorder::disabled(),
             domain_polarity,
             clock_composed,
+            power_on: OnceLock::new(),
         })
     }
 
     /// Attaches an observability recorder: each concolic round gets a
-    /// `concolic.round` span (sweep phases get per-domain `concolic.sweep`
-    /// / `concolic.sweep_high` spans), flip planning feeds the
+    /// `concolic.round` span (each sweep phase gets one `concolic.sweep`
+    /// / `concolic.sweep_high` span with fields `domains` and `rounds`),
+    /// flip planning feeds the
     /// `concolic.flip_candidates` / `concolic.flip_consumed` /
     /// `concolic.flip_discarded` / `concolic.flip_sat` counters, rounds
     /// that cover no new target feed `concolic.stale_rounds`, and every
@@ -582,10 +599,11 @@ impl<'d> ConcolicEngine<'d> {
             rounds += 1;
             let round_started = Instant::now();
             let mut round_span = soccar_obs::span!(self.recorder, "concolic.round", round = rounds);
-            let RoundRun {
+            let RoundState {
                 sim,
                 violations,
                 reasons,
+                ..
             } = self.run_round(&schedule, RoundKind::Analysis)?;
             self.degraded_reasons.extend(reasons);
             self.cover(self.target_hits(&sim));
@@ -608,38 +626,10 @@ impl<'d> ConcolicEngine<'d> {
             }
         }
 
-        // Phase 2: systematic reset sweep (assert each domain at each
-        // cycle position; catches state-dependent payloads).
+        // Phases 2 and 3: the reset sweeps.
         if !self.config.skip_sweep {
-            for di in 0..self.domains.len() {
-                let schedules = self.sweep_schedules(|s, at| {
-                    s.randomize(self.config.seed.wrapping_add(at));
-                    s.power_on_only();
-                    s.add_pulse(di, at, 1);
-                });
-                self.sweep_domain("concolic.sweep", di, &schedules, &mut rounds, &mut findings)?;
-            }
-            // Phase 3: clock-high-phase sweep for domains that the
-            // Refined analysis flagged as having clock-composed implicit
-            // governors. The Explicit analysis never flags any, so this
-            // phase is empty there — which is precisely why the published
-            // tool misses the AutoSoC #2 SHA256 bug.
-            for di in 0..self.domains.len() {
-                if !self.clock_composed[di] {
-                    continue;
-                }
-                let schedules = self.sweep_schedules(|s, at| {
-                    s.randomize(self.config.seed.wrapping_add(0x9E37 + at));
-                    s.power_on_only();
-                    s.add_high_phase_pulse(di, at);
-                });
-                self.sweep_domain(
-                    "concolic.sweep_high",
-                    di,
-                    &schedules,
-                    &mut rounds,
-                    &mut findings,
-                )?;
+            for (span, per_domain) in self.sweep_phases() {
+                self.sweep(span, &per_domain, &mut rounds, &mut findings)?;
             }
         }
 
@@ -720,74 +710,187 @@ impl<'d> ConcolicEngine<'d> {
         schedules
     }
 
-    /// Runs one domain's sweep rounds on the worker pool, then folds them
-    /// into the run serially in round order. Every round starts from its
-    /// own schedule and reads only engine state the fan-out never writes,
-    /// so round numbers, first-wins witnesses, `first_violation_round`
-    /// and coverage come out exactly as a serial sweep would leave them.
-    fn sweep_domain(
+    /// The sweep phases, each as its span name and its swept domains'
+    /// schedules (see [`ConcolicEngine::sweep_schedules`]).
+    ///
+    /// Phase 2 (`concolic.sweep`) asserts each domain at each cycle
+    /// position; it catches state-dependent payloads. Phase 3
+    /// (`concolic.sweep_high`) sweeps the clock-high phase of the domains
+    /// that the Refined analysis flagged as having clock-composed
+    /// implicit governors. The Explicit analysis never flags any, so
+    /// Phase 3 is empty there — which is precisely why the published tool
+    /// misses the AutoSoC #2 SHA256 bug.
+    fn sweep_phases(&self) -> [(&'static str, Vec<Vec<TestSchedule>>); 2] {
+        let seed = self.config.seed;
+        let sweep = (0..self.domains.len())
+            .map(|di| {
+                self.sweep_schedules(|s, at| {
+                    s.randomize(seed.wrapping_add(at));
+                    s.power_on_only();
+                    s.add_pulse(di, at, 1);
+                })
+            })
+            .collect();
+        let sweep_high = (0..self.domains.len())
+            .filter(|&di| self.clock_composed[di])
+            .map(|di| {
+                self.sweep_schedules(|s, at| {
+                    s.randomize(seed.wrapping_add(0x9E37 + at));
+                    s.power_on_only();
+                    s.add_high_phase_pulse(di, at);
+                })
+            })
+            .collect();
+        [
+            ("concolic.sweep", sweep),
+            ("concolic.sweep_high", sweep_high),
+        ]
+    }
+
+    /// Runs one sweep phase. `per_domain` holds each swept domain's
+    /// schedules in `at` order. The schedules are grouped by pulse
+    /// position, and each position is one task on the worker pool (see
+    /// [`ConcolicEngine::run_position`]). The results are then folded
+    /// into the run serially, domain by domain and each domain in `at`
+    /// order. Every task reads only engine state the fan-out never
+    /// writes, so round numbers, first-wins witnesses,
+    /// `first_violation_round` and coverage come out exactly as a serial
+    /// sweep would leave them.
+    fn sweep(
         &mut self,
         span: &'static str,
-        di: usize,
-        schedules: &[TestSchedule],
+        per_domain: &[Vec<TestSchedule>],
         rounds: &mut usize,
         findings: &mut Findings,
     ) -> SimResult<()> {
-        let mut sweep_span =
-            soccar_obs::span!(self.recorder, span, domain = self.domains[di].0.as_str());
-        let (results, stats) = soccar_exec::parallel_map_stats(self.config.jobs, schedules, |s| {
-            self.run_round(s, RoundKind::Sweep).map(|run| SweptRound {
-                hits: self.target_hits(&run.sim),
-                violations: run.violations,
-                reasons: run.reasons,
-            })
-        });
+        let Some(first) = per_domain.first() else {
+            return Ok(());
+        };
+        let mut sweep_span = soccar_obs::span!(self.recorder, span, domains = per_domain.len());
+        let positions: Vec<Vec<&TestSchedule>> = (0..first.len())
+            .map(|p| per_domain.iter().map(|d| &d[p]).collect())
+            .collect();
+        let (results, stats) =
+            soccar_exec::parallel_map_stats(self.config.jobs, &positions, |g| self.run_position(g));
         self.sweep_stats.absorb(&stats);
-        for (schedule, result) in schedules.iter().zip(results) {
-            let swept = result?;
-            *rounds += 1;
-            self.degraded_reasons.extend(swept.reasons);
-            self.cover(swept.hits);
-            findings.merge(*rounds, schedule, swept.violations);
+        let mut columns: Vec<_> = results.into_iter().map(Vec::into_iter).collect();
+        for schedules in per_domain {
+            for (schedule, column) in schedules.iter().zip(&mut columns) {
+                let swept = column.next().expect("one result per domain")?;
+                *rounds += 1;
+                self.degraded_reasons.extend(swept.reasons);
+                self.cover(swept.hits);
+                findings.merge(*rounds, schedule, swept.violations);
+            }
         }
-        sweep_span.record("rounds", schedules.len());
+        sweep_span.record("rounds", per_domain.len() * first.len());
         Ok(())
     }
 
-    /// One `Simulate(Input, Restricts)` call of Algorithm 3.
+    /// Runs the sweep rounds of one pulse position, one per schedule of
+    /// `group`, and returns what `run_round` would give for each, in
+    /// `group` order. The leading cycles all of them drive alike
+    /// ([`common_prefix`]) are simulated once as a trunk; each schedule
+    /// then runs its own remaining cycles on a fork of the trunk. A
+    /// trunk error is every round's error.
+    fn run_position(&self, group: &[&TestSchedule]) -> Vec<SimResult<SweptRound>> {
+        let split = common_prefix(group);
+        let trunk = self.power_on().and_then(|mut state| {
+            self.run_cycles(&mut state, group[0], RoundKind::Sweep, 0, split)?;
+            Ok(state)
+        });
+        let branch = |state: SimResult<RoundState<'d>>, schedule: &TestSchedule| {
+            let mut state = state?;
+            self.run_cycles(
+                &mut state,
+                schedule,
+                RoundKind::Sweep,
+                split,
+                schedule.cycles,
+            )?;
+            Ok(SweptRound {
+                hits: self.target_hits(&state.sim),
+                violations: state.violations,
+                reasons: state.reasons,
+            })
+        };
+        // The last round takes the trunk instead of forking it.
+        let (last, rest) = group.split_last().expect("a sweep position has rounds");
+        let mut out: Vec<_> = rest.iter().map(|s| branch(trunk.clone(), s)).collect();
+        out.push(branch(trunk, last));
+        out
+    }
+
+    /// One `Simulate(Input, Restricts)` call of Algorithm 3: the cached
+    /// power-on state, then every cycle of `schedule`.
     ///
     /// Monitors that fail to resolve (or error mid-check) come back as
     /// degraded reasons instead of being silently ignored or panicking:
-    /// the analysis continues, visibly partial. Takes `&self` so sweep
-    /// rounds can run side by side on the worker pool. `kind` sets how
-    /// much of the symbolic shadow the round builds (see [`RoundKind`]).
-    fn run_round(&self, schedule: &TestSchedule, kind: RoundKind) -> SimResult<RoundRun<'d>> {
-        let mut sim = Simulator::with_algebra(self.design, CoAlgebra::new(), self.config.init);
-        let mut reasons = Vec::new();
-        let mut monitors: Vec<PropertyMonitor> = Vec::new();
-        for p in &self.properties {
-            match PropertyMonitor::resolve(self.design, p.clone(), &self.domain_polarity) {
-                Ok(m) => monitors.push(m),
-                Err(e) => reasons.push(format!("property monitor dropped: {e}")),
-            }
-        }
-        let mut violations = Vec::new();
+    /// the analysis continues, visibly partial. Takes `&self` so rounds
+    /// can run side by side on the worker pool. `kind` sets how much of
+    /// the symbolic shadow the round builds (see [`RoundKind`]).
+    fn run_round(&self, schedule: &TestSchedule, kind: RoundKind) -> SimResult<RoundState<'d>> {
+        let mut state = self.power_on()?;
+        self.run_cycles(&mut state, schedule, kind, 0, schedule.cycles)?;
+        Ok(state)
+    }
 
-        // Time-zero: deassert resets, park clocks, zero uncontrolled inputs.
-        for track in &schedule.resets {
-            let deassert = LogicVec::from_u64(1, u64::from(track.active_low));
-            sim.write_input(track.net, deassert)?;
-        }
-        for clk in &self.clocks {
-            sim.write_input(*clk, LogicVec::from_u64(1, 0))?;
-        }
-        for net in &self.plain_inputs {
-            let w = self.design.net(*net).width;
-            sim.write_input(*net, LogicVec::zeros(w))?;
-        }
-        sim.settle()?;
+    /// A copy of the state every round starts from: resets deasserted,
+    /// clocks parked and uncontrolled inputs zeroed at time zero, then
+    /// settled, with the property monitors resolved. No schedule input
+    /// has been driven yet, so it is the same for every schedule and
+    /// [`RoundKind`]; it is computed once per engine and cloned.
+    fn power_on(&self) -> SimResult<RoundState<'d>> {
+        self.power_on
+            .get_or_init(|| {
+                let mut sim =
+                    Simulator::with_algebra(self.design, CoAlgebra::new(), self.config.init);
+                let mut reasons = Vec::new();
+                let mut monitors: Vec<PropertyMonitor> = Vec::new();
+                for p in &self.properties {
+                    match PropertyMonitor::resolve(self.design, p.clone(), &self.domain_polarity) {
+                        Ok(m) => monitors.push(m),
+                        Err(e) => reasons.push(format!("property monitor dropped: {e}")),
+                    }
+                }
+                for (_, net, active_low) in &self.domains {
+                    sim.write_input(*net, LogicVec::from_u64(1, u64::from(*active_low)))?;
+                }
+                for clk in &self.clocks {
+                    sim.write_input(*clk, LogicVec::from_u64(1, 0))?;
+                }
+                for net in &self.plain_inputs {
+                    let w = self.design.net(*net).width;
+                    sim.write_input(*net, LogicVec::zeros(w))?;
+                }
+                sim.settle()?;
+                Ok(RoundState {
+                    sim,
+                    monitors,
+                    violations: Vec::new(),
+                    reasons,
+                })
+            })
+            .clone()
+    }
 
-        for cycle in 0..schedule.cycles {
+    /// Drives cycles `from..to` of `schedule` on `state`, checking the
+    /// property monitors after each.
+    fn run_cycles(
+        &self,
+        state: &mut RoundState<'d>,
+        schedule: &TestSchedule,
+        kind: RoundKind,
+        from: u64,
+        to: u64,
+    ) -> SimResult<()> {
+        let RoundState {
+            sim,
+            monitors,
+            violations,
+            reasons,
+        } = state;
+        for cycle in from..to {
             for (i, track) in schedule.inputs.iter().enumerate() {
                 let v = kind.input(
                     sim.algebra_mut(),
@@ -841,8 +944,8 @@ impl<'d> ConcolicEngine<'d> {
             }
             sim.settle()?;
             sim.advance_time(1);
-            for mon in &mut monitors {
-                match mon.check_cycle(&sim, cycle) {
+            for mon in monitors.iter_mut() {
+                match mon.check_cycle(sim, cycle) {
                     Ok(found) => violations.extend(found),
                     Err(e) => reasons.push(format!("property check skipped: {e}")),
                 }
@@ -854,18 +957,14 @@ impl<'d> ConcolicEngine<'d> {
             // `ConcolicConfig::max_window_checks`). Serial and in monitor
             // order, so the observation log stays deterministic.
             if kind == RoundKind::FlipWorkload && self.config.max_window_checks > 0 {
-                for mon in &monitors {
-                    if let Some(t) = mon.symbolic_obligation(&mut sim) {
+                for mon in monitors.iter() {
+                    if let Some(t) = mon.symbolic_obligation(sim) {
                         sim.algebra_mut().record_check(t);
                     }
                 }
             }
         }
-        Ok(RoundRun {
-            sim,
-            violations,
-            reasons,
-        })
+        Ok(())
     }
 
     /// Indices of the still-uncovered targets that `sim`'s round hit.
@@ -887,7 +986,7 @@ impl<'d> ConcolicEngine<'d> {
     }
 
     /// Marks a round's hit targets covered, counting the round stale when
-    /// none of them is new. Sweep hits are taken before their domain's
+    /// none of them is new. Sweep hits are taken before their phase's
     /// merge, so some may already be covered by an earlier round of it.
     fn cover(&mut self, hits: Vec<usize>) {
         let mut fresh = false;
@@ -1453,6 +1552,29 @@ fn schedule_from_model(
         }
     }
     next
+}
+
+/// The number of leading cycles on which every schedule of `group` drives
+/// the same reset assertions, high-phase flags and input values: rounds
+/// of any of them are identical up to that cycle. The schedules share one
+/// shape (tracks in the same order, from the engine's base schedule). A
+/// group of one gives its whole horizon.
+fn common_prefix(group: &[&TestSchedule]) -> u64 {
+    let Some((first, rest)) = group.split_first() else {
+        return 0;
+    };
+    let same_at = |other: &TestSchedule, c: usize| {
+        first.resets.iter().zip(&other.resets).all(|(a, b)| {
+            a.asserted.get(c) == b.asserted.get(c) && a.high_phase.get(c) == b.high_phase.get(c)
+        }) && first
+            .inputs
+            .iter()
+            .zip(&other.inputs)
+            .all(|(a, b)| a.values.get(c) == b.values.get(c))
+    };
+    (0..first.cycles)
+        .find(|&c| rest.iter().any(|s| !same_at(s, c as usize)))
+        .unwrap_or(first.cycles)
 }
 
 /// Parses `prefix{index}_{cycle}` variable names.
@@ -2184,6 +2306,181 @@ mod tests {
         assert!(!report.violated("nonexistent"));
         assert!(report.rounds >= 1);
         assert!(report.elapsed.as_nanos() > 0);
+    }
+
+    /// Two reset domains and two symbolic inputs: the crypto domain leaks
+    /// its key register, the DMA domain scrubs its buffer.
+    const TWO_DOMAIN: &str = "
+        module aes(input clk, input rst_n, input load, input [7:0] key_in,
+                   output reg [7:0] key_reg, output reg [7:0] busy_ctr);
+          always @(posedge clk or negedge rst_n)
+            if (!rst_n) begin
+              busy_ctr <= 8'd0;          // BUG: key_reg not cleared
+            end else begin
+              if (load) key_reg <= key_in;
+              busy_ctr <= busy_ctr + 8'd1;
+            end
+        endmodule
+        module dma(input clk, input rst_n, input [7:0] din, output reg [7:0] buf_q);
+          always @(posedge clk or negedge rst_n)
+            if (!rst_n) buf_q <= 8'd0;
+            else if (din[0]) buf_q <= din;
+        endmodule
+        module top(input clk, input crypto_rst_n, input dma_rst_n, input load,
+                   input [7:0] key_in, output [7:0] key_reg, output [7:0] busy,
+                   output [7:0] buf_q);
+          aes u_aes (.clk(clk), .rst_n(crypto_rst_n), .load(load),
+                     .key_in(key_in), .key_reg(key_reg), .busy_ctr(busy));
+          dma u_dma (.clk(clk), .rst_n(dma_rst_n), .din(key_in), .buf_q(buf_q));
+        endmodule";
+
+    /// The Section V-C implicit-governor construct (see
+    /// `explicit_analysis_misses_implicit_governor_refined_catches`).
+    const SHA_LEAK: &str = "
+        module sha(input clk, input sec_rst_n, input [7:0] pt,
+                   output reg [7:0] ct);
+          always @(negedge sec_rst_n)
+            if (clk) ct <= pt;
+        endmodule
+        module top(input clk, input sec_rst_n, input [7:0] pt, output [7:0] ct);
+          sha u (.clk(clk), .sec_rst_n(sec_rst_n), .pt(pt), .ct(ct));
+        endmodule";
+
+    #[test]
+    fn grouped_sweep_rounds_match_rounds_from_scratch() {
+        let two_domain_props = vec![
+            leak_property(),
+            SecurityProperty {
+                name: "dma-buf-cleared".into(),
+                module: "dma".into(),
+                kind: PropertyKind::ClearedAfterReset {
+                    domain: "top.dma_rst_n".into(),
+                    signal: "top.u_dma.buf_q".into(),
+                    expected: LogicVec::zeros(8),
+                    window: 0,
+                },
+            },
+        ];
+        let sha_prop = SecurityProperty {
+            name: "sha-ct-cleared".into(),
+            module: "sha".into(),
+            kind: PropertyKind::NeverEqual {
+                a: "top.u.ct".into(),
+                b: "top.u.pt".into(),
+                enable: None,
+            },
+        };
+        let fixtures = [
+            (
+                TWO_DOMAIN,
+                GovernorAnalysis::Explicit,
+                vec!["top.load", "top.key_in"],
+                two_domain_props,
+                [2, 0],
+            ),
+            (
+                SHA_LEAK,
+                GovernorAnalysis::Refined,
+                vec!["top.pt"],
+                vec![sha_prop],
+                [1, 1],
+            ),
+        ];
+        // `swept` is each phase's number of swept domains.
+        for (src, analysis, symbolic, props, swept) in fixtures {
+            let unit = parse(FileId(0), src).expect("parse");
+            let design = soccar_rtl::elaborate::elaborate(&unit, "top").expect("elaborate");
+            let soc = compose_soc(&unit, "top", &ResetNaming::new(), analysis).expect("compose");
+            let bound = bind_events(&design, &soc).expect("bind");
+            let engine = |jobs: usize| {
+                let config = ConcolicConfig {
+                    cycles: 10,
+                    max_rounds: 3,
+                    symbolic_inputs: symbolic.iter().map(|n| n.to_string()).collect(),
+                    jobs,
+                    ..ConcolicConfig::default()
+                };
+                ConcolicEngine::new(&design, &bound, props.clone(), config).expect("engine")
+            };
+            let probe = engine(1);
+            let phases = probe.sweep_phases();
+            assert_eq!([phases[0].1.len(), phases[1].1.len()], swept);
+            let mut violations = 0;
+            for (_, per_domain) in &phases {
+                for p in 0..per_domain.first().map_or(0, Vec::len) {
+                    let group: Vec<&TestSchedule> = per_domain.iter().map(|d| &d[p]).collect();
+                    let split = common_prefix(&group);
+                    if group.len() == 1 {
+                        assert_eq!(split, probe.config.cycles);
+                    } else {
+                        assert_eq!(split, p as u64 + 1, "diverges at the pulse");
+                    }
+                    for (schedule, grouped) in group.iter().zip(probe.run_position(&group)) {
+                        let grouped = grouped.expect("grouped round");
+                        let scratch = probe
+                            .run_round(schedule, RoundKind::Sweep)
+                            .expect("round from scratch");
+                        assert_eq!(grouped.hits, probe.target_hits(&scratch.sim));
+                        assert_eq!(grouped.violations, scratch.violations);
+                        assert_eq!(grouped.reasons, scratch.reasons);
+                        violations += grouped.violations.len();
+                    }
+                }
+            }
+            assert!(violations > 0, "the fixture trips its property");
+            let serial = engine(1).run().expect("run");
+            for jobs in [2, 4] {
+                let parallel = engine(jobs).run().expect("run");
+                assert_eq!(serial.rounds, parallel.rounds, "jobs={jobs}");
+                assert_eq!(serial.targets_covered, parallel.targets_covered);
+                assert_eq!(serial.violations, parallel.violations);
+                assert_eq!(serial.witnesses, parallel.witnesses);
+                assert_eq!(serial.first_violation_round, parallel.first_violation_round);
+                assert_eq!(serial.degraded_reasons, parallel.degraded_reasons);
+                assert_eq!(serial.sweep_exec.tasks, parallel.sweep_exec.tasks);
+            }
+        }
+    }
+
+    #[test]
+    fn common_prefix_stops_at_the_first_divergent_cycle() {
+        let base = TestSchedule::quiet(
+            8,
+            vec![("a".into(), NetId(0), true), ("b".into(), NetId(1), false)],
+            vec![("in".into(), NetId(2), 4)],
+        );
+        let mut input = base.clone();
+        input.inputs[0].values[5] = LogicVec::from_u64(4, 3);
+        let mut reset = base.clone();
+        reset.add_pulse(1, 3, 1);
+        let mut high = base.clone();
+        high.resets[0].high_phase[6] = true;
+        assert_eq!(common_prefix(&[&base]), 8);
+        assert_eq!(common_prefix(&[&base, &base.clone()]), 8);
+        assert_eq!(common_prefix(&[&base, &input]), 5);
+        assert_eq!(common_prefix(&[&base, &reset]), 3);
+        assert_eq!(common_prefix(&[&base, &high]), 6);
+        assert_eq!(common_prefix(&[&input, &base, &high, &reset]), 3);
+    }
+
+    #[test]
+    fn zero_sweep_stride_is_rejected() {
+        let unit = parse(FileId(0), LEAKY_CRYPTO).expect("parse");
+        let design = soccar_rtl::elaborate::elaborate(&unit, "top").expect("elaborate");
+        let soc = compose_soc(
+            &unit,
+            "top",
+            &ResetNaming::new(),
+            GovernorAnalysis::Explicit,
+        )
+        .expect("compose");
+        let bound = bind_events(&design, &soc).expect("bind");
+        let config = ConcolicConfig {
+            sweep_stride: 0,
+            ..ConcolicConfig::default()
+        };
+        let err = ConcolicEngine::new(&design, &bound, vec![], config).expect_err("stride 0");
+        assert!(err.contains("stride"), "{err}");
     }
 
     #[test]

@@ -145,7 +145,7 @@ impl Default for CacheCaps {
         CacheCaps {
             parse: 4096,
             extract: 4096,
-            design: 8,
+            design: 2,
             concolic: 64,
             report: 64,
         }

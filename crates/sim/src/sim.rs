@@ -16,6 +16,7 @@
 //! drives both pure-concrete simulation and the concolic co-simulation.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use soccar_rtl::ast::{CaseKind, Edge, NetKind};
 use soccar_rtl::design::{
@@ -64,7 +65,7 @@ struct WakeEntry {
     edge: Option<Edge>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum PrimWrite<V> {
     Net {
         net: NetId,
@@ -85,7 +86,7 @@ enum PrimWrite<V> {
 /// One memory's contents: the power-on word every address starts with,
 /// plus the words written since. Building a plane costs one value however
 /// deep the memory is, and unwritten words cost nothing to keep.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct MemPlane<V> {
     depth: u64,
     init: V,
@@ -147,13 +148,17 @@ pub struct TraceEvent {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+///
+/// A simulator is [`Clone`]: a clone forks the run, carrying on from the
+/// same nets, memories, pending events, trace and run counts. The wake
+/// table depends only on the design and is shared between forks.
+#[derive(Debug, Clone)]
 pub struct Simulator<'d, A: Algebra> {
     design: &'d Design,
     algebra: A,
     nets: Vec<A::Value>,
     mems: Vec<MemPlane<A::Value>>,
-    wake_map: Vec<Vec<WakeEntry>>,
+    wake_map: Arc<[Vec<WakeEntry>]>,
     runnable: VecDeque<ProcessId>,
     in_queue: Vec<bool>,
     nba_queue: Vec<PrimWrite<A::Value>>,
@@ -227,7 +232,7 @@ impl<'d, A: Algebra> Simulator<'d, A> {
             algebra,
             nets,
             mems,
-            wake_map,
+            wake_map: wake_map.into(),
             runnable: VecDeque::new(),
             in_queue: vec![false; n_procs],
             nba_queue: Vec::new(),
@@ -1024,6 +1029,85 @@ mod tests {
         s.settle().expect("settle");
         s.tick(clk).expect("tick");
         assert_eq!(s.net_logic(net(&d, "t.rd")).to_u64(), Some(0xAB));
+    }
+
+    /// Drives the inputs of the fork test's design for one step.
+    fn drive_fork_inputs(
+        d: &soccar_rtl::Design,
+        s: &mut Simulator<'_, ConcreteAlgebra>,
+        step: u64,
+    ) {
+        let inputs = [
+            ("t.rst_n", 1, u64::from(step != 3)),
+            ("t.we", 1, step % 2),
+            ("t.addr", 4, step % 16),
+            ("t.wd", 8, (step * 37) & 0xFF),
+        ];
+        for (name, width, value) in inputs {
+            s.write_input(net(d, name), LogicVec::from_u64(width, value))
+                .expect("input");
+        }
+    }
+
+    #[test]
+    fn forked_simulator_runs_like_the_original() {
+        let d = compile(
+            "module t(input clk, input rst_n, input we, input [3:0] addr, input [7:0] wd,
+                      output reg [7:0] rd, output reg [3:0] ctr);
+               reg [7:0] mem [0:15];
+               always @(posedge clk) begin
+                 if (we) mem[addr] <= wd;
+                 rd <= mem[addr];
+               end
+               always @(posedge clk or negedge rst_n)
+                 if (!rst_n) ctr <= 4'd0;
+                 else ctr <= ctr + 4'd1;
+             endmodule",
+            "t",
+        );
+        let clk = net(&d, "t.clk");
+        let mut a = Simulator::concrete(&d, InitPolicy::Ones);
+        a.enable_tracing();
+        a.write_input(clk, LogicVec::from_u64(1, 0)).expect("clk");
+        for step in 0..5 {
+            drive_fork_inputs(&d, &mut a, step);
+            a.settle().expect("settle");
+            a.tick(clk).expect("tick");
+        }
+        // Fork with processes pending: the rising edge is driven but not
+        // yet settled.
+        drive_fork_inputs(&d, &mut a, 5);
+        a.write_input(clk, LogicVec::from_u64(1, 1)).expect("clk");
+        let mut b = a.clone();
+        for s in [&mut a, &mut b] {
+            s.settle().expect("settle");
+            s.advance_time(1);
+            s.write_input(clk, LogicVec::from_u64(1, 0)).expect("clk");
+            s.settle().expect("settle");
+            s.advance_time(1);
+            for step in 6..12 {
+                drive_fork_inputs(&d, s, step);
+                s.settle().expect("settle");
+                s.tick(clk).expect("tick");
+            }
+        }
+        for i in 0..d.nets().len() {
+            let n = NetId(i as u32);
+            assert_eq!(a.net_logic(n), b.net_logic(n), "net {}", d.net(n).name);
+        }
+        let mem = d.find_memory("t.mem").expect("mem");
+        for addr in 0..16 {
+            assert_eq!(
+                a.mem_logic(mem, addr),
+                b.mem_logic(mem, addr),
+                "word {addr}"
+            );
+        }
+        assert_eq!(a.mem_logic(mem, 5).to_u64(), Some((5 * 37) & 0xFF));
+        assert_eq!(a.process_run_counts(), b.process_run_counts());
+        assert_eq!(a.trace(), b.trace());
+        assert_eq!(a.time(), b.time());
+        assert!(!a.trace().is_empty());
     }
 
     #[test]
