@@ -120,6 +120,17 @@ impl CoAlgebra {
         &self.observations
     }
 
+    /// Interns the negation of every observation's condition into the
+    /// graph and returns them by observation index. A flip query asserts
+    /// either `cond` or its negation, so once this ran the graph holds
+    /// every term a query needs and solves can share it read-only.
+    pub fn negated_conditions(&mut self) -> Vec<TermId> {
+        self.observations
+            .iter()
+            .map(|o| self.graph.not(o.cond))
+            .collect()
+    }
+
     /// Symbolic security-check obligations recorded so far, in
     /// chronological order.
     #[must_use]

@@ -76,9 +76,9 @@ pub struct ConcolicConfig {
     pub async_events: Vec<String>,
     /// Worker threads for the per-round fan-out of uncovered-event flip
     /// solves (`0` = auto via [`soccar_exec::resolve_jobs`]). Every job
-    /// count produces bit-identical reports: candidates are solved
-    /// against independent clones of the round's term graph and consumed
-    /// in stable target order, never completion order.
+    /// count produces bit-identical reports: candidates are read-only
+    /// queries on the round's term graph and are consumed in stable
+    /// target order, never completion order.
     pub jobs: usize,
     /// Resource budget for each flip solve. An exhausted budget yields
     /// [`CheckResult::Unknown`], which the engine records as a *skipped*
@@ -557,7 +557,10 @@ impl<'d> ConcolicEngine<'d> {
     /// `concolic.flip_discarded` / `concolic.flip_sat` counters, rounds
     /// that cover no new target feed `concolic.stale_rounds`, and every
     /// flip solve — including the speculative ones — reports through
-    /// [`Solver::check_traced`].
+    /// [`Solver::check_traced`]. Flip planning gets a `concolic.plan`
+    /// span (fields `candidates` and `consumed`) with one
+    /// `concolic.solve` child around the worker-pool fan-out; both are
+    /// opened on the calling thread, never on a worker.
     ///
     /// Because `plan_next` always solves *all* collected candidates, the
     /// solver metrics are identical for every job count even though the
@@ -600,7 +603,7 @@ impl<'d> ConcolicEngine<'d> {
             let round_started = Instant::now();
             let mut round_span = soccar_obs::span!(self.recorder, "concolic.round", round = rounds);
             let RoundState {
-                sim,
+                mut sim,
                 violations,
                 reasons,
                 ..
@@ -620,7 +623,13 @@ impl<'d> ConcolicEngine<'d> {
                 ));
                 break;
             }
-            match self.plan_next(&sim, &schedule, rounds, &mut solver_calls, &mut solver_sat) {
+            match self.plan_next(
+                &mut sim,
+                &schedule,
+                rounds,
+                &mut solver_calls,
+                &mut solver_sat,
+            ) {
                 Some(next) => schedule = next,
                 None => break,
             }
@@ -1012,21 +1021,28 @@ impl<'d> ConcolicEngine<'d> {
     /// The flip solves — the expensive part of a round — fan out over the
     /// worker pool: every uncovered target's candidate occurrences are
     /// collected up front in stable `(target index, occurrence index)`
-    /// order, solved speculatively against independent clones of the
-    /// round's term graph, and then *consumed* by a serial decision walk
+    /// order, solved speculatively as read-only queries on the round's
+    /// own term graph, and then *consumed* by a serial decision walk
     /// identical to the original single-threaded loop. Because each solve
     /// depends only on its own candidate (never on a sibling's outcome or
     /// scheduling), the chosen schedule, the solver counters, and thus the
     /// whole report are bit-identical for every job count.
+    ///
+    /// The only write to the graph is the serial interning of the negated
+    /// conditions before the fan-out. The round's simulator is dropped
+    /// after planning, so those nodes never reach a later round.
     fn plan_next(
         &mut self,
-        sim: &Simulator<'d, CoAlgebra>,
+        sim: &mut Simulator<'d, CoAlgebra>,
         schedule: &TestSchedule,
         round: usize,
         solver_calls: &mut usize,
         solver_sat: &mut usize,
     ) -> Option<TestSchedule> {
-        let obs: Vec<BranchObservation> = sim.algebra().observations().to_vec();
+        let mut plan_span = soccar_obs::span!(self.recorder, "concolic.plan");
+        let neg = sim.algebra_mut().negated_conditions();
+        let alg = sim.algebra();
+        let (obs, graph) = (alg.observations(), &alg.graph);
         // Goals are `Copy` ids interned at construction time, so the
         // per-round bookkeeping copies `(index, goal, domain)` triples
         // instead of deep-cloning `Target`s.
@@ -1039,16 +1055,24 @@ impl<'d> ConcolicEngine<'d> {
             .collect();
         let mut round_degraded = false;
 
-        // Phase A: collect flip candidates in deterministic order.
+        // Phase A: collect flip candidates in deterministic order. The
+        // occurrences of each site are indexed once, in log order, instead
+        // of scanning the whole log per target.
+        let mut occurrences: HashMap<BranchSiteId, Vec<usize>> = HashMap::new();
+        for (k, o) in obs.iter().enumerate() {
+            occurrences.entry(o.site).or_default().push(k);
+        }
         let mut picks: Vec<(usize, usize, bool)> = Vec::new(); // (target, obs index, dir)
         for (ti, goal, _) in &targets {
             if let TargetGoal::Site { site, dir } = goal {
                 picks.extend(
-                    obs.iter()
-                        .enumerate()
-                        .filter(|(_, o)| o.site == *site && o.taken != *dir)
+                    occurrences
+                        .get(site)
+                        .into_iter()
+                        .flatten()
+                        .filter(|&&k| obs[k].taken != *dir)
                         .take(self.config.max_flip_attempts)
-                        .map(|(k, _)| (*ti, k, *dir)),
+                        .map(|&k| (*ti, k, *dir)),
                 );
             }
         }
@@ -1085,6 +1109,7 @@ impl<'d> ConcolicEngine<'d> {
         // for the same reason: the candidate set never depends on jobs.
         // KeepGoing turns a panicking flip task into an index-ordered
         // Failed slot, so one bad solve degrades the round, not the run.
+        plan_span.record("candidates", candidates.len());
         self.recorder
             .counter_add("concolic.flip_candidates", candidates.len() as u64);
         // Every issued query counts, consumed or speculative — the old
@@ -1093,14 +1118,12 @@ impl<'d> ConcolicEngine<'d> {
         // candidate set is fixed before the fan-out.
         *solver_calls += candidates.len();
         let max_prefix = self.config.max_prefix;
-        let tuning = SolverTuning {
-            budget: self.config.solver_budget,
-            bve: self.config.bve,
-            trail_reuse: self.config.trail_reuse,
-        };
+        let tuning = SolverTuning::of(&self.config);
         let plan = &self.config.fault_plan;
         let recorder = &self.recorder;
-        let graph = &sim.algebra().graph;
+        // Opened here, on the calling thread: worker solves only report
+        // metrics, which commute across threads.
+        let solve_span = soccar_obs::span!(recorder, "concolic.solve");
         let (solved, stats) = soccar_exec::parallel_map_policy(
             self.config.jobs,
             &candidates,
@@ -1115,10 +1138,10 @@ impl<'d> ConcolicEngine<'d> {
                         c.seq
                     ));
                 }
-                let mut g = graph.clone();
                 solve_flip(
-                    &mut g,
-                    &obs,
+                    graph,
+                    obs,
+                    &neg,
                     schedule,
                     c.obs_index,
                     c.dir,
@@ -1128,6 +1151,7 @@ impl<'d> ConcolicEngine<'d> {
                 )
             },
         );
+        drop(solve_span);
         self.flip_stats.absorb(&stats);
 
         // Degradation accounting covers EVERY candidate, consumed or
@@ -1205,6 +1229,7 @@ impl<'d> ConcolicEngine<'d> {
                 }
             }
         }
+        plan_span.record("consumed", consumed);
         // Waste: candidates solved on the pool that the walk never reached.
         self.recorder.counter_add(
             "concolic.flip_discarded",
@@ -1253,27 +1278,20 @@ impl<'d> ConcolicEngine<'d> {
         let mut schedule = self.base_schedule();
         schedule.randomize(self.config.seed);
         let mut sim = self.run_round(&schedule, RoundKind::FlipWorkload)?.sim;
+        let neg = sim.algebra_mut().negated_conditions();
         let observations = sim.algebra().observations().to_vec();
-        let neg: Vec<TermId> = {
-            let g = &mut sim.algebra_mut().graph;
-            observations.iter().map(|o| g.not(o.cond)).collect()
-        };
         let checks = recent_check_terms(
             sim.algebra().check_observations(),
             self.config.max_window_checks,
         );
         Ok(FlipWorkload {
-            graph: sim.algebra().graph.clone(),
+            graph: std::mem::take(&mut sim.algebra_mut().graph),
             neg,
             observations,
             checks,
             schedule,
             max_prefix: self.config.max_prefix,
-            tuning: SolverTuning {
-                budget: self.config.solver_budget,
-                bve: self.config.bve,
-                trail_reuse: self.config.trail_reuse,
-            },
+            tuning: SolverTuning::of(&self.config),
         })
     }
 }
@@ -1313,9 +1331,9 @@ impl FlipWorkload {
         self.observations.len().min(cap)
     }
 
-    /// Solves the candidates one-shot: each clones the term graph and
-    /// blasts its own prefix from scratch, as the engine's flip fan-out
-    /// does. Returns the SAT count.
+    /// Solves the candidates one-shot: each blasts its own prefix from
+    /// scratch as a read-only query on the shared term graph, as the
+    /// engine's flip fan-out does. Returns the SAT count.
     #[must_use]
     pub fn solve_oneshot(&self, cap: usize, recorder: &soccar_obs::Recorder) -> usize {
         let n = self.candidates(cap);
@@ -1323,10 +1341,10 @@ impl FlipWorkload {
         let mut sat = 0;
         for k in len - n..len {
             let dir = !self.observations[k].taken;
-            let mut g = self.graph.clone();
             let outcome = solve_flip(
-                &mut g,
+                &self.graph,
                 &self.observations,
+                &self.neg,
                 &self.schedule,
                 k,
                 dir,
@@ -1397,7 +1415,7 @@ struct FlipCandidate {
 
 /// Result of one flip solve: a new schedule, a definite "no", or a
 /// budget-exhausted "don't know" the engine records and skips.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum FlipOutcome {
     Sat(TestSchedule),
     Unsat,
@@ -1416,6 +1434,15 @@ struct SolverTuning {
 }
 
 impl SolverTuning {
+    /// The tuning `config` asks for.
+    fn of(config: &ConcolicConfig) -> SolverTuning {
+        SolverTuning {
+            budget: config.solver_budget,
+            bve: config.bve,
+            trail_reuse: config.trail_reuse,
+        }
+    }
+
     /// A fresh [`Solver`] with this tuning applied.
     fn build(self) -> Solver {
         let mut s = Solver::with_budget(self.budget);
@@ -1425,17 +1452,36 @@ impl SolverTuning {
     }
 }
 
+/// The constraint of one flip query: the path prefix of observation `k`
+/// as taken (at most `max_prefix` observations), then observation `k`
+/// towards `dir`. `neg[i]` holds the interned negation of `obs[i].cond`.
+fn flip_constraint(
+    obs: &[BranchObservation],
+    neg: &[TermId],
+    k: usize,
+    dir: bool,
+    max_prefix: usize,
+) -> Vec<TermId> {
+    let prefix_start = k.saturating_sub(max_prefix);
+    let literal = |i: usize, positive: bool| if positive { obs[i].cond } else { neg[i] };
+    (prefix_start..k)
+        .map(|i| literal(i, obs[i].taken))
+        .chain([literal(k, dir)])
+        .collect()
+}
+
 /// Attempts to flip observation `k` towards `dir`, conjoining the path
 /// prefix, and rebuilds the schedule from the model.
 ///
-/// Runs on worker threads against a private clone of the round's term
-/// graph, so the result is a pure function of `(graph, obs, schedule, k,
-/// dir, max_prefix, budget)` — the determinism anchor of the parallel
-/// round.
+/// A read-only query on the round's term graph, which every worker
+/// shares: the caller interned the negations `neg` beforehand. So the
+/// result is a pure function of `(graph, obs, schedule, k, dir,
+/// max_prefix, budget)` — the determinism anchor of the parallel round.
 #[allow(clippy::too_many_arguments)]
 fn solve_flip(
-    graph: &mut TermGraph,
+    graph: &TermGraph,
     obs: &[BranchObservation],
+    neg: &[TermId],
     schedule: &TestSchedule,
     k: usize,
     dir: bool,
@@ -1444,17 +1490,9 @@ fn solve_flip(
     recorder: &soccar_obs::Recorder,
 ) -> FlipOutcome {
     let mut solver = tuning.build();
-    let prefix_start = k.saturating_sub(max_prefix);
-    for o in &obs[prefix_start..k] {
-        let c = if o.taken { o.cond } else { graph.not(o.cond) };
-        solver.assert(c);
+    for t in flip_constraint(obs, neg, k, dir, max_prefix) {
+        solver.assert(t);
     }
-    let goal = if dir {
-        obs[k].cond
-    } else {
-        graph.not(obs[k].cond)
-    };
-    solver.assert(goal);
     match solver.check_traced(graph, recorder) {
         CheckResult::Unsat => FlipOutcome::Unsat,
         CheckResult::Unknown { reason } => FlipOutcome::Unknown(reason),
@@ -1472,7 +1510,6 @@ fn solve_flip(
 /// constraint as *retractable assumptions* via
 /// [`Solver::check_assuming`] on a pre-blasted `solver`, so a serial
 /// caller accumulates learnt clauses across candidates on one context.
-/// `neg[i]` holds the pre-interned negation of `obs[i].cond`.
 #[allow(clippy::too_many_arguments)]
 fn solve_flip_on(
     solver: &mut Solver,
@@ -1485,12 +1522,7 @@ fn solve_flip_on(
     max_prefix: usize,
     recorder: &soccar_obs::Recorder,
 ) -> FlipOutcome {
-    let prefix_start = k.saturating_sub(max_prefix);
-    let mut assumptions: Vec<TermId> = Vec::with_capacity(k - prefix_start + 1);
-    for (i, o) in obs.iter().enumerate().take(k).skip(prefix_start) {
-        assumptions.push(if o.taken { o.cond } else { neg[i] });
-    }
-    assumptions.push(if dir { obs[k].cond } else { neg[k] });
+    let assumptions = flip_constraint(obs, neg, k, dir, max_prefix);
     match solver.check_assuming_traced(graph, &assumptions, recorder) {
         CheckResult::Unsat => FlipOutcome::Unsat,
         CheckResult::Unknown { reason } => FlipOutcome::Unknown(reason),
@@ -1760,27 +1792,12 @@ mod tests {
         );
     }
 
-    const MAGIC_SRC: &str = "
-        module ip(input clk, input rst_n, input [7:0] magic,
-                  output reg flag, output reg [7:0] ctr);
-          always @(posedge clk or negedge rst_n)
-            if (!rst_n) begin
-              if (magic == 8'h5A) flag <= 1'b1;
-              ctr <= 8'd0;
-            end else ctr <= ctr + 8'd1;
-        endmodule
-        module top(input clk, input dom_rst_n, input [7:0] magic,
-                   output flag, output [7:0] ctr);
-          ip u (.clk(clk), .rst_n(dom_rst_n), .magic(magic),
-                .flag(flag), .ctr(ctr));
-        endmodule";
-
     #[test]
     fn flip_waste_counters_partition_the_candidates() {
         // Every solved candidate is either consumed by the decision walk
         // or counted as discarded, so the trace shows speculative waste.
         let recorder = soccar_obs::Recorder::enabled();
-        let unit = parse(FileId(0), MAGIC_SRC).expect("parse");
+        let unit = parse(FileId(0), MAGIC_BRANCH).expect("parse");
         let design = soccar_rtl::elaborate::elaborate(&unit, "top").expect("elaborate");
         let soc = compose_soc(
             &unit,
@@ -1818,10 +1835,85 @@ mod tests {
     }
 
     #[test]
+    fn shared_graph_flips_match_solves_on_a_fresh_clone() {
+        // Every flip of round 1, solved as a read-only query on the one
+        // shared round graph, answers exactly as the same query on its own
+        // clone of the graph, with the negations interned per query.
+        let leaky_config = ConcolicConfig {
+            cycles: 12,
+            symbolic_inputs: vec!["top.load".into(), "top.key_in".into()],
+            ..ConcolicConfig::default()
+        };
+        for (src, props, config) in [
+            (MAGIC_BRANCH, vec![], magic_config()),
+            (LEAKY_CRYPTO, vec![leak_property()], leaky_config),
+        ] {
+            let unit = parse(FileId(0), src).expect("parse");
+            let design = soccar_rtl::elaborate::elaborate(&unit, "top").expect("elaborate");
+            let soc = compose_soc(
+                &unit,
+                "top",
+                &ResetNaming::new(),
+                GovernorAnalysis::Explicit,
+            )
+            .expect("compose");
+            let bound = bind_events(&design, &soc).expect("bind");
+            let engine = ConcolicEngine::new(&design, &bound, props, config).expect("engine");
+            let mut schedule = engine.base_schedule();
+            schedule.randomize(engine.config.seed);
+            let mut sim = engine
+                .run_round(&schedule, RoundKind::Analysis)
+                .expect("round 1")
+                .sim;
+            let pristine = sim.algebra().graph.clone();
+            let neg = sim.algebra_mut().negated_conditions();
+            let (obs, graph) = (sim.algebra().observations(), &sim.algebra().graph);
+            assert!(!obs.is_empty(), "round 1 logged no symbolic branch");
+            let max_prefix = engine.config.max_prefix;
+            let tuning = SolverTuning::of(&engine.config);
+            let off = soccar_obs::Recorder::disabled();
+            let mut sat = 0;
+            // Every candidate flips an observation away from its taken
+            // direction; flipping all of them covers every target's.
+            for (k, flipped) in obs.iter().enumerate() {
+                let dir = !flipped.taken;
+                let shared = solve_flip(
+                    graph, obs, &neg, &schedule, k, dir, max_prefix, tuning, &off,
+                );
+                let mut g = pristine.clone();
+                let mut solver = tuning.build();
+                for o in &obs[k.saturating_sub(max_prefix)..k] {
+                    let c = if o.taken { o.cond } else { g.not(o.cond) };
+                    solver.assert(c);
+                }
+                let goal = if dir {
+                    flipped.cond
+                } else {
+                    g.not(flipped.cond)
+                };
+                solver.assert(goal);
+                let reference = match solver.check(&g) {
+                    CheckResult::Unsat => FlipOutcome::Unsat,
+                    CheckResult::Unknown { reason } => FlipOutcome::Unknown(reason),
+                    CheckResult::Sat(model) => FlipOutcome::Sat(schedule_from_model(
+                        &g,
+                        &schedule,
+                        solver.assertions(),
+                        &model,
+                    )),
+                };
+                sat += usize::from(matches!(reference, FlipOutcome::Sat(_)));
+                assert_eq!(shared, reference, "candidate {k}");
+            }
+            assert!(sat > 0, "no flip of round 1 was satisfiable");
+        }
+    }
+
+    #[test]
     fn flip_workload_strategies_agree() {
         // The benchmark harness relies on this: one-shot and incremental
         // flip solving answer identically (in sat-ness) per candidate.
-        let unit = parse(FileId(0), MAGIC_SRC).expect("parse");
+        let unit = parse(FileId(0), MAGIC_BRANCH).expect("parse");
         let design = soccar_rtl::elaborate::elaborate(&unit, "top").expect("elaborate");
         let soc = compose_soc(
             &unit,

@@ -12,7 +12,9 @@
 //!   circuits (ripple-carry adders, barrel shifters, restoring dividers);
 //! * [`sat::SatSolver`] — CDCL with two-watched literals, 1UIP learning,
 //!   VSIDS, phase saving and Luby restarts;
-//! * [`Solver`] — the word-level front-end returning total [`Model`]s.
+//! * [`Solver`] — the word-level front-end. A one-shot check encodes only
+//!   the assertions' cone, yet its [`Model`] still names every graph
+//!   variable: one outside that support reads zero.
 //!
 //! # Examples
 //!

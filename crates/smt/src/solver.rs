@@ -14,8 +14,10 @@ const INPROCESS_GROWTH: u64 = 512;
 
 /// A satisfying assignment for the asserted formula.
 ///
-/// Every variable term of the graph gets a value (unconstrained bits are
-/// zero), so models can be replayed deterministically as concrete stimuli.
+/// Every variable term of the graph gets a value, so models can be
+/// replayed deterministically as concrete stimuli. Unconstrained bits are
+/// zero, and so is every variable outside the support of the assertions:
+/// a one-shot [`Solver::check`] never encodes those.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Model {
     values: HashMap<TermId, BvVal>,
@@ -376,12 +378,10 @@ impl Solver {
         // uniformity with the incremental context.
         bb.solver.set_bve(self.bve);
         bb.solver.set_trail_reuse(self.trail_reuse);
+        // Only the assertions' cone is encoded: a variable outside it
+        // cannot affect the answer.
         for t in &self.assertions {
             bb.assert_true(graph, *t);
-        }
-        // Blast every variable so the model is total.
-        for v in graph.vars() {
-            bb.blast(graph, *v);
         }
         let outcome = bb.solver.solve_budgeted(self.budget);
         self.last_stats = SolveStats {
@@ -400,11 +400,19 @@ impl Solver {
         match outcome {
             SatOutcome::Unsat => CheckResult::Unsat,
             SatOutcome::Sat => {
-                let mut values = HashMap::new();
-                for v in graph.vars() {
-                    let bits = bb.model_bits(*v).expect("variable was blasted");
-                    values.insert(*v, BvVal::from_bits(&bits));
-                }
+                // The model stays total: a variable that was never
+                // blasted reads zero, as an unassigned bit does.
+                let values = graph
+                    .vars()
+                    .iter()
+                    .map(|&v| {
+                        let value = bb.model_bits(v).map_or_else(
+                            || BvVal::zeros(graph.width(v)),
+                            |bits| BvVal::from_bits(&bits),
+                        );
+                        (v, value)
+                    })
+                    .collect();
                 CheckResult::Sat(Model { values })
             }
             SatOutcome::Unknown => CheckResult::Unknown {
@@ -763,6 +771,30 @@ mod tests {
         let m = r.model().expect("sat");
         assert_eq!(m.len(), 2);
         assert!(m.value(_unused).is_some());
+    }
+
+    #[test]
+    fn check_blasts_only_the_assertion_support() {
+        // Pin x = 0x5A bit by bit: a bit of a variable is its own literal,
+        // so the query needs no gate variables at all.
+        let mut g = TermGraph::new();
+        let x = g.var("x", 8);
+        let unrelated = g.var("unrelated", 64);
+        let mut s = Solver::new();
+        for i in 0..8 {
+            let bit = g.extract(i, i, x);
+            s.assert(if (0x5A >> i) & 1 == 1 {
+                bit
+            } else {
+                g.not(bit)
+            });
+        }
+        let r = s.check(&g);
+        assert_eq!(s.stats().sat_vars, 8 + 1, "x's bits plus constant-true");
+        let m = r.model().expect("sat");
+        assert_eq!(m.len(), 2, "the model still holds every variable");
+        assert_eq!(m.value(x).and_then(BvVal::to_u64), Some(0x5A));
+        assert_eq!(m.value(unrelated), Some(&BvVal::zeros(64)));
     }
 
     #[test]
